@@ -49,8 +49,10 @@ struct CampaignConfig {
   /// Bias scheme for the attack (Third models the V/3 countermeasure arm).
   xbar::BiasScheme scheme = xbar::BiasScheme::Half;
   /// Trials per thread-pool work item. Purely a scheduling granularity: the
-  /// result is bit-identical for every value (tested).
-  std::size_t batchSize = 64;
+  /// result is bit-identical for every value (tested). The default of one
+  /// trial lets an idle worker take the next trial, so a slow trial or a
+  /// descheduled worker never holds back a fixed share of the campaign.
+  std::size_t batchSize = 1;
   /// Worker threads (0 = util::defaultThreadCount(), 1 = serial).
   std::size_t threads = 0;
   /// Two-sided confidence level for every reported interval.

@@ -19,6 +19,15 @@ double JartDevice::current(double v) const {
   return model_.solveConduction(v, nDisc_, temperature()).current;
 }
 
+double JartDevice::conductance(double v) const {
+  return model_.solveConduction(v, nDisc_, temperature()).conductance;
+}
+
+nh::spice::OperatingPoint JartDevice::operatingPoint(double v) const {
+  const Conduction c = model_.solveConduction(v, nDisc_, temperature());
+  return {c.current, c.conductance};
+}
+
 void JartDevice::setNDisc(double n) {
   const Params& p = model_.params();
   nDisc_ = std::clamp(n, p.nDiscMin, p.nDiscMax);

@@ -24,6 +24,11 @@ class JartDevice final : public nh::spice::MemristiveModel {
   /// Terminal current at voltage \p v with the frozen internal state
   /// (N_disc and temperature are constant within one Newton solve).
   double current(double v) const override;
+  /// dI/dV from the same conduction solve (implicit differentiation; no
+  /// finite difference).
+  double conductance(double v) const override;
+  /// Current and conductance from one conduction solve.
+  nh::spice::OperatingPoint operatingPoint(double v) const override;
   /// Integrate N_disc and filament temperature over an accepted step.
   /// Substeps adaptively so state moves <= ~1% of the window per substep.
   void advance(double v, double dt) override;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/faultinject.hpp"
+#include "util/linsolve.hpp"
 #include "util/units.hpp"
 
 namespace nh::jart {
@@ -15,51 +17,75 @@ Model::Model(Params params) : params_(params) {
   logWindowRatio_ = std::log(params_.nDiscMax / params_.nDiscMin);
 }
 
-double Model::schottkyCurrent(double vs, double nDisc, double temperatureK) const {
+Model::Barrier Model::barrier(bool forward, double nDisc,
+                              double temperatureK) const {
   const Params& p = params_;
   const double area = p.filamentArea();
   const double tt = temperatureK * temperatureK;
-  const double x = p.normalisedState(nDisc);
+  // Params::normalisedState with the cached ln(Nmax/Nmin).
+  const double x =
+      std::fmin(std::fmax(std::log(nDisc / p.nDiscMin) / logWindowRatio_, 0.0), 1.0);
 
-  if (vs >= 0.0) {
+  if (forward) {
     // Forward (SET polarity): thermionic emission over a barrier that the
     // donor concentration in the disc lowers (more vacancies -> thinner,
     // lower effective barrier).
     const double phi = p.phiBarrier0 - p.phiLowering * x;
-    const double i0 = area * p.richardson * tt *
-                      std::exp(-phi / (kBoltzmannEv * temperatureK));
-    const double vt = p.idealityFwd * kBoltzmannEv * temperatureK;
-    const double arg = std::min(vs / vt, 60.0);
-    return i0 * (std::exp(arg) - 1.0);
+    return {area * p.richardson * tt * std::exp(-phi / (kBoltzmannEv * temperatureK)),
+            p.idealityFwd * kBoltzmannEv * temperatureK};
   }
   // Reverse (RESET polarity): tunnelling-assisted leaky reverse conduction,
   // modelled as a soft exponential with large ideality.
   const double phi = p.phiBarrierRev - p.phiLowering * x;
-  const double i0 = area * p.richardson * tt *
-                    std::exp(-std::max(phi, 0.02) / (kBoltzmannEv * temperatureK));
-  const double vt = p.idealityRev * kBoltzmannEv * temperatureK;
-  const double arg = std::min(-vs / vt, 60.0);
-  return -i0 * (std::exp(arg) - 1.0);
+  return {area * p.richardson * tt *
+              std::exp(-std::max(phi, 0.02) / (kBoltzmannEv * temperatureK)),
+          p.idealityRev * kBoltzmannEv * temperatureK};
+}
+
+Model::SchottkyPoint Model::schottky(double vs, const Barrier& b) {
+  // I = +-i0 * (exp(|vs|/vt) - 1), odd in vs. The exponent clamp keeps
+  // trial voltages finite; past it the current is flat, so the slope is 0.
+  const double u = std::fabs(vs) / b.vt;
+  const double e = std::exp(std::min(u, 60.0));
+  const double magnitude = b.i0 * (e - 1.0);
+  return {vs >= 0.0 ? magnitude : -magnitude, u < 60.0 ? b.i0 * e / b.vt : 0.0};
+}
+
+double Model::schottkyCurrent(double vs, double nDisc, double temperatureK) const {
+  return schottky(vs, barrier(vs >= 0.0, nDisc, temperatureK)).current;
 }
 
 Conduction Model::solveConduction(double voltage, double nDisc,
                                   double temperatureK) const {
   const Params& p = params_;
   Conduction out;
-  if (voltage == 0.0) return out;
+  const double rDisc = p.discResistance(nDisc);
+  const double rOhmic = rDisc + p.plugResistance() + p.rSeries;
+  // Implicit differentiation of vs + R * I_sch(vs) = V: dvs/dV = 1/(1+R*g_s).
+  const auto terminalSlope = [rOhmic](double gs) { return gs / (1.0 + rOhmic * gs); };
 
-  const double rOhmic = p.discResistance(nDisc) + p.plugResistance() + p.rSeries;
+  if (voltage == 0.0) {
+    // vs = 0 sits on the forward branch (as in schottkyCurrent).
+    const Barrier fwd = barrier(true, nDisc, temperatureK);
+    out.conductance = terminalSlope(fwd.i0 / fwd.vt);
+    return out;
+  }
 
   // Solve f(vs) = vs + R * I_sch(vs) - V = 0. I_sch is monotone increasing
   // in vs, so f is monotone: bracket [min(0,V), max(0,V)] always contains
-  // the root. Newton with bisection safeguard.
+  // the root. Newton with bisection safeguard. Every iterate stays strictly
+  // inside the bracket, so vs keeps the sign of V and one branch serves the
+  // whole solve.
+  const Barrier b = barrier(voltage > 0.0, nDisc, temperatureK);
   double lo = std::min(0.0, voltage);
   double hi = std::max(0.0, voltage);
   double vs = voltage * 0.5;
+  SchottkyPoint s = schottky(vs, b);
+  double f = 0.0;
   bool converged = false;
-  for (int iter = 0; iter < 200; ++iter) {
-    const double i = schottkyCurrent(vs, nDisc, temperatureK);
-    const double f = vs + rOhmic * i - voltage;
+  int iter = 0;
+  for (; iter < 200; ++iter) {
+    f = vs + rOhmic * s.current - voltage;
     if (std::fabs(f) < 1e-12 * std::max(1.0, std::fabs(voltage))) {
       converged = true;
       break;
@@ -69,30 +95,33 @@ Conduction Model::solveConduction(double voltage, double nDisc,
     } else {
       lo = vs;
     }
-    // Numerical derivative for the Newton step.
-    const double h = 1e-7 * std::max(1.0, std::fabs(vs)) + 1e-12;
-    const double di = (schottkyCurrent(vs + h, nDisc, temperatureK) -
-                       schottkyCurrent(vs - h, nDisc, temperatureK)) /
-                      (2.0 * h);
-    const double fp = 1.0 + rOhmic * di;
-    double vsNew = vs - f / fp;
+    double vsNew = vs - f / (1.0 + rOhmic * s.slope);
     if (!(vsNew > lo && vsNew < hi)) vsNew = 0.5 * (lo + hi);  // bisect
-    if (std::fabs(vsNew - vs) < 1e-15) {
-      vs = vsNew;
+    const bool stalled = std::fabs(vsNew - vs) < 1e-15;
+    vs = vsNew;
+    s = schottky(vs, b);
+    if (stalled) {
       converged = true;
       break;
     }
-    vs = vsNew;
+  }
+  // Fault site: tests force a non-converged solve to exercise the per-point
+  // isolation above the attack engine.
+  if (nh::util::faultinject::shouldFire("jart.conduction")) converged = false;
+  if (!converged) {
+    throw nh::util::SolverError("jart.conduction",
+                                "interface-voltage Newton did not converge",
+                                static_cast<std::size_t>(iter), std::fabs(f));
   }
 
-  const double i = schottkyCurrent(vs, nDisc, temperatureK);
+  const double i = s.current;
   out.current = i;
+  out.conductance = terminalSlope(s.slope);
   out.vSchottky = vs;
-  out.vDisc = i * p.discResistance(nDisc);
+  out.vDisc = i * rDisc;
   // Power heating the filament: everything except the external series
   // resistance (which sits in the electrodes, away from the filament).
   out.powerFilament = std::fabs(i * (voltage - i * p.rSeries));
-  out.converged = converged;
   return out;
 }
 

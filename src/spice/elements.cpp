@@ -141,6 +141,10 @@ double MemristiveModel::conductance(double v) const {
   return (current(v + h) - current(v - h)) / (2.0 * h);
 }
 
+OperatingPoint MemristiveModel::operatingPoint(double v) const {
+  return {current(v), conductance(v)};
+}
+
 Memristor::Memristor(std::string name, NodeId a, NodeId b, MemristiveModel* model)
     : Element(std::move(name)), a_(a), b_(b), model_(model) {
   if (model_ == nullptr) throw std::invalid_argument("Memristor: null model");
@@ -148,11 +152,11 @@ Memristor::Memristor(std::string name, NodeId a, NodeId b, MemristiveModel* mode
 
 void Memristor::stamp(StampContext& ctx) const {
   const double v = ctx.voltage(a_) - ctx.voltage(b_);
-  const double i = model_->current(v);
-  double g = model_->conductance(v);
+  const OperatingPoint op = model_->operatingPoint(v);
+  double g = op.conductance;
   if (!(g > 0.0)) g = 1e-12;  // keep the Jacobian well-conditioned
   ctx.stampConductance(a_, b_, g);
-  ctx.stampCurrentSource(a_, b_, i - g * v);
+  ctx.stampCurrentSource(a_, b_, op.current - g * v);
 }
 
 void Memristor::acceptStep(const AcceptContext& ctx) {

@@ -100,6 +100,13 @@ class Diode final : public Element {
   double is_, n_, vt_;
 };
 
+/// Device current and its slope at one terminal voltage: what a Newton
+/// iteration linearises the device around.
+struct OperatingPoint {
+  double current = 0.0;      ///< I(v) [A].
+  double conductance = 0.0;  ///< dI/dV at v [S].
+};
+
 /// Interface a compact memristive model exposes to the circuit engine.
 /// Implemented by nh::jart::JartDevice; kept abstract here so nh::spice has
 /// no dependency on the model library.
@@ -109,8 +116,14 @@ class MemristiveModel {
   /// Device current at terminal voltage \p v with the *current* internal
   /// state (state is frozen within a Newton solve).
   virtual double current(double v) const = 0;
-  /// dI/dV at \p v. Default: symmetric finite difference.
+  /// dI/dV at \p v. The base class takes a symmetric finite difference of
+  /// two current() calls; models with an analytic slope override it.
   virtual double conductance(double v) const;
+  /// Current and conductance at \p v in one call; the circuit engines use
+  /// this once per device per Newton iteration. The base class calls
+  /// current() and conductance(); models that get both from one internal
+  /// solve override it.
+  virtual OperatingPoint operatingPoint(double v) const;
   /// Integrate internal state (ionic concentration, filament temperature)
   /// over an accepted step of length \p dt at terminal voltage \p v.
   virtual void advance(double v, double dt) = 0;

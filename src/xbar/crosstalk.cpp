@@ -146,15 +146,25 @@ CrosstalkHub::CrosstalkHub(std::size_t rows, std::size_t cols, AlphaTable table)
 }
 
 nh::util::Matrix CrosstalkHub::inputTemperatures(const nh::util::Matrix& excess) const {
+  nh::util::Matrix tin;
+  inputTemperatures(excess, tin);
+  return tin;
+}
+
+void CrosstalkHub::inputTemperatures(const nh::util::Matrix& excess,
+                                     nh::util::Matrix& tin) const {
   if (excess.rows() != rows_ || excess.cols() != cols_) {
     throw std::invalid_argument("CrosstalkHub: excess shape mismatch");
   }
+  if (&tin == &excess) {
+    throw std::invalid_argument("CrosstalkHub: output aliases the excess input");
+  }
+  if (tin.rows() != rows_ || tin.cols() != cols_) tin.resize(rows_, cols_, 0.0);
   // Eq. 5 as linear superposition of every cell's *self*-heating: the alpha
   // values were extracted with a single heated cell, so the coupled field of
   // many sources is the sum of the single-source solutions. (Feeding back
   // total temperatures instead would double-count and diverges for dense
   // spacings where the coupling sum exceeds 1.)
-  nh::util::Matrix tin(rows_, cols_, 0.0);
   const long long radius = table_.radius();
   for (long long r = 0; r < static_cast<long long>(rows_); ++r) {
     for (long long c = 0; c < static_cast<long long>(cols_); ++c) {
@@ -173,7 +183,6 @@ nh::util::Matrix CrosstalkHub::inputTemperatures(const nh::util::Matrix& excess)
       tin(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) = acc;
     }
   }
-  return tin;
 }
 
 nh::util::Matrix CrosstalkHub::solveCoupledExcess(const nh::util::Matrix& cellPower,

@@ -72,6 +72,10 @@ class CrosstalkHub {
   /// single-source FEM solutions the alphas were extracted from; see the
   /// implementation note on why total-temperature feedback would be wrong.
   nh::util::Matrix inputTemperatures(const nh::util::Matrix& excess) const;
+  /// Same, written into \p tin (resized to rows x cols only when its shape
+  /// differs, so a caller-kept workspace never reallocates). \p tin must not
+  /// alias \p excess.
+  void inputTemperatures(const nh::util::Matrix& excess, nh::util::Matrix& tin) const;
 
   /// Steady-state total excess temperature per cell for a static per-cell
   /// power map: excess_i = rth*P_i + sum_j alpha_ij * rth*P_j.

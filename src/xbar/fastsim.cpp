@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/cancellation.hpp"
+#include "util/faultinject.hpp"
 #include "util/linsolve.hpp"
 
 namespace nh::xbar {
@@ -35,16 +36,18 @@ void FastEngine::resetEnergy() {
 void FastEngine::refreshCrosstalk() {
   const std::size_t rows = array_->rows();
   const std::size_t cols = array_->cols();
-  nh::util::Matrix selfExcess(rows, cols, 0.0);
+  if (selfExcess_.rows() != rows || selfExcess_.cols() != cols) {
+    selfExcess_.resize(rows, cols, 0.0);
+  }
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      selfExcess(r, c) = array_->cell(r, c).selfExcessTemperature();
+      selfExcess_(r, c) = array_->cell(r, c).selfExcessTemperature();
     }
   }
-  const nh::util::Matrix tin = hub_.inputTemperatures(selfExcess);
+  hub_.inputTemperatures(selfExcess_, crosstalkIn_);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      array_->cell(r, c).setCrosstalk(tin(r, c));
+      array_->cell(r, c).setCrosstalk(crosstalkIn_(r, c));
     }
   }
 }
@@ -73,7 +76,10 @@ void FastEngine::solveNetwork(const LineBias& bias) {
   residual_.assign(n, 0.0);
   delta_.resize(n);
 
-  for (std::size_t iter = 0; iter < options_.maxNewtonIterations; ++iter) {
+  bool converged = false;
+  std::size_t iter = 0;
+  double maxStep = 0.0;
+  for (; iter < options_.maxNewtonIterations; ++iter) {
     // Evaluate the Jacobian in block form: the word/bit diagonal blocks are
     // diagonal (dRow_/dCol_) and the coupling block is the dense device
     // conductance matrix gMat_.
@@ -92,11 +98,11 @@ void FastEngine::solveNetwork(const LineBias& bias) {
         const std::size_t bc = rows + c;
         const auto& device = array_->cell(r, c);
         const double v = lineVoltages_[r] - lineVoltages_[bc];
-        const double i = device.current(v);
-        double g = device.conductance(v);
+        const nh::spice::OperatingPoint op = device.operatingPoint(v);
+        double g = op.conductance;
         if (!(g > 0.0)) g = 1e-12;
-        residual_[r] += i;
-        residual_[bc] -= i;
+        residual_[r] += op.current;
+        residual_[bc] -= op.current;
         gMat_(r, c) = g;
         dRow_[r] += g;
         dCol_[c] += g;
@@ -109,7 +115,7 @@ void FastEngine::solveNetwork(const LineBias& bias) {
       solveNetworkDense(rows, cols);
     }
 
-    double maxStep = 0.0;
+    maxStep = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double d = std::clamp(delta_[i], -0.5, 0.5);
       lineVoltages_[i] -= d;
@@ -123,7 +129,18 @@ void FastEngine::solveNetwork(const LineBias& bias) {
                                   "non-finite update in line-network solve",
                                   iter + 1, maxStep);
     }
-    if (maxStep < options_.newtonTol) break;
+    if (maxStep < options_.newtonTol) {
+      converged = true;
+      break;
+    }
+  }
+  // Fault site: tests force a non-converged solve to exercise the per-point
+  // isolation above the attack engine.
+  if (nh::util::faultinject::shouldFire("fastsim.newton")) converged = false;
+  if (!converged) {
+    throw nh::util::SolverError("fastsim.newton",
+                                "line-network Newton did not converge",
+                                iter, maxStep);
   }
 }
 

@@ -35,7 +35,8 @@ struct FastEngineOptions {
   double batchDriftLimit = 0.002;
   /// Hard cap on the batch size.
   std::size_t maxBatch = 1024;
-  /// Newton controls for the line-network solve.
+  /// Newton controls for the line-network solve. A solve that reaches the
+  /// iteration cap throws nh::util::SolverError("fastsim.newton").
   double newtonTol = 1e-9;
   std::size_t maxNewtonIterations = 60;
   /// Solve each Newton update through the Schur complement on the bit-line
@@ -152,6 +153,10 @@ class FastEngine {
   nh::util::SchurComplementSolver schurSolver_;
   nh::util::Matrix jacobian_;   ///< Dense path only (rows+cols square).
   nh::util::LuFactorization lu_;
+
+  // Crosstalk-hub refresh workspace (rows x cols), reused every substep.
+  nh::util::Matrix selfExcess_;   ///< Hub input: per-cell self-heating excess.
+  nh::util::Matrix crosstalkIn_;  ///< Hub output: per-cell input temperature.
 };
 
 }  // namespace nh::xbar

@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "jart/model.hpp"
+#include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace nh::jart {
 namespace {
@@ -61,7 +63,6 @@ TEST(Conduction, MonotoneInVoltage) {
     double prev = 0.0;
     for (double v = 0.05; v <= 1.5; v += 0.05) {
       const auto c = m.solveConduction(v, n, 300.0);
-      EXPECT_TRUE(c.converged);
       EXPECT_GT(c.current, prev) << "n=" << n << " v=" << v;
       prev = c.current;
     }
@@ -128,6 +129,73 @@ TEST(Conduction, HrsDropsMostVoltageOnDisc) {
   const auto lrs = m.solveConduction(1.05, p.nDiscMax, 300.0);
   EXPECT_GT(hrs.vDisc, 0.4);  // disc dominates in HRS
   EXPECT_LT(lrs.vDisc, 0.3);  // interface/series dominate in LRS
+}
+
+// ---- analytic dI/dV ----------------------------------------------------------
+
+/// Centred finite difference of the terminal current.
+double centredSlope(const Model& m, double v, double n, double t, double h) {
+  return (m.solveConduction(v + h, n, t).current -
+          m.solveConduction(v - h, n, t).current) /
+         (2.0 * h);
+}
+
+TEST(Conductance, MatchesCentredDifferenceAtRandomPoints) {
+  // Both polarities in equal numbers; |V| >= 10 mV keeps V +- h on one side
+  // of the vs = 0 branch kink.
+  const Model m = defaultModel();
+  const Params& p = m.params();
+  nh::util::Rng rng(20260417);
+  constexpr int kPoints = 800;
+  constexpr double kStep = 1e-6;
+  for (int k = 0; k < kPoints; ++k) {
+    const double sign = k % 2 == 0 ? 1.0 : -1.0;
+    const double v = sign * rng.uniform(0.01, 1.5);
+    const double n = p.nDiscMin * std::pow(p.nDiscMax / p.nDiscMin, rng.uniform());
+    const double t = rng.uniform(250.0, 600.0);
+    const Conduction c = m.solveConduction(v, n, t);
+    const double fd = centredSlope(m, v, n, t, kStep);
+    ASSERT_GT(fd, 0.0) << "v=" << v << " n=" << n << " T=" << t;
+    EXPECT_NEAR(c.conductance, fd, 1e-5 * fd) << "v=" << v << " n=" << n << " T=" << t;
+    // The solver and schottkyCurrent evaluate one and the same formula.
+    EXPECT_EQ(m.schottkyCurrent(c.vSchottky, n, t), c.current);
+  }
+}
+
+TEST(Conductance, ZeroVoltageTakesTheForwardBranchSlope) {
+  // vs = 0 belongs to the forward branch, so the slope at V = 0 is the
+  // right-hand derivative; I(0) = 0 and a second-order one-sided difference
+  // resolves it without cancellation.
+  const Model m = defaultModel();
+  const Params& p = m.params();
+  constexpr double kStep = 1e-5;
+  for (const double n : {p.nDiscMin, 1e25, p.nDiscMax}) {
+    for (const double t : {250.0, 300.0, 450.0}) {
+      const Conduction c = m.solveConduction(0.0, n, t);
+      EXPECT_DOUBLE_EQ(c.current, 0.0);
+      const double i1 = m.solveConduction(kStep, n, t).current;
+      const double i2 = m.solveConduction(2.0 * kStep, n, t).current;
+      const double oneSided = (4.0 * i1 - i2) / (2.0 * kStep);
+      ASSERT_GT(c.conductance, 0.0);
+      EXPECT_NEAR(c.conductance, oneSided, 1e-5 * oneSided)
+          << "n=" << n << " T=" << t;
+    }
+  }
+}
+
+TEST(Conductance, ClampedExponentIsFlat) {
+  // Past |vs|/vt = 60 the Schottky exponent is clamped, the current no
+  // longer depends on V and both the analytic and the numerical slope are 0.
+  const Model m = defaultModel();
+  const Params& p = m.params();
+  const double t = 300.0;
+  for (const double v : {1e30, -1e30}) {
+    const Conduction c = m.solveConduction(v, 1e25, t);
+    const double ideality = v > 0.0 ? p.idealityFwd : p.idealityRev;
+    EXPECT_GE(std::fabs(c.vSchottky) / (ideality * nh::util::kBoltzmannEv * t), 60.0);
+    EXPECT_EQ(c.conductance, 0.0);
+    EXPECT_EQ(centredSlope(m, v, 1e25, t, 1e-6 * std::fabs(v)), 0.0);
+  }
 }
 
 TEST(Thermal, SteadyTemperatureEquation) {

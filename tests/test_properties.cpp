@@ -27,8 +27,9 @@ TEST_P(ConductionProperty, SolveIsConsistentAndSmooth) {
     const double n = p.nDiscMin * std::pow(p.nDiscMax / p.nDiscMin, x);
     const double v = rng.uniform(-1.5, 1.5);
     const double t = rng.uniform(250.0, 600.0);
-    const auto c = model.solveConduction(v, n, t);
-    ASSERT_TRUE(c.converged) << "v=" << v << " n=" << n << " T=" << t;
+    jart::Conduction c;
+    ASSERT_NO_THROW(c = model.solveConduction(v, n, t))
+        << "v=" << v << " n=" << n << " T=" << t;
     // Sign consistency.
     if (v > 0.01) EXPECT_GT(c.current, 0.0);
     if (v < -0.01) EXPECT_LT(c.current, 0.0);

@@ -2,9 +2,10 @@
 /// Fault-tolerance primitives and their end-to-end acceptance: cancellation
 /// tokens/scopes, the fault-injection registry, parallelFor's
 /// drain-after-throw contract, solver fault sites with their fallback
-/// ladders, and the ISSUE acceptance scenarios on a registered experiment
-/// (an injected singular factorization flags exactly one grid point; a
-/// cancelled-then-resumed run reproduces the uninterrupted result exactly).
+/// ladders, and the acceptance scenarios on a registered experiment (an
+/// injected singular factorization or non-converged Newton solve flags
+/// exactly one grid point; a cancelled-then-resumed run reproduces the
+/// uninterrupted result exactly).
 
 #include <gtest/gtest.h>
 
@@ -401,6 +402,41 @@ TEST_F(RegisteredExperimentFaults, InjectedSingularFactorizationFlagsOneRow) {
   EXPECT_EQ(degraded.outcomes[2].status, PointOutcome::Status::Ok);
   EXPECT_EQ(degraded.rows[0], reference.rows[0]);
   EXPECT_EQ(degraded.rows[2], reference.rows[2]);
+}
+
+TEST_F(RegisteredExperimentFaults, DeviceAndLineNetworkNewtonFailuresFlagOneRow) {
+  // The JART conduction solve and the line-network Newton loop report a
+  // non-converged solve as SolverError; under keep-going (Skip) it becomes a
+  // structured Failed outcome naming the solve, and the other rows are
+  // untouched.
+  namespace fi = nh::util::faultinject;
+  using nh::core::PointOutcome;
+
+  nh::core::RunOptions options;
+  options.fast = true;
+  options.threads = 2;
+  const nh::core::ExperimentResult reference = nh::core::runExperiment(
+      nh::core::makeExperiment("fig3b_electrode_spacing"), options);
+  ASSERT_TRUE(reference.complete());
+  ASSERT_EQ(reference.rows.size(), 3u);
+
+  options.onPointFailure = nh::core::PointFailurePolicy::Skip;
+  for (const char* site : {"jart.conduction", "fastsim.newton"}) {
+    SCOPED_TRACE(site);
+    fi::clearAll();
+    fi::arm(site, 1, "point:1");
+    const nh::core::ExperimentResult degraded = nh::core::runExperiment(
+        nh::core::makeExperiment("fig3b_electrode_spacing"), options);
+    EXPECT_TRUE(fi::fired(site));
+    EXPECT_EQ(degraded.pointsFailed, 1u);
+    EXPECT_EQ(degraded.pointsOk, 2u);
+    ASSERT_EQ(degraded.outcomes.size(), 3u);
+    EXPECT_EQ(degraded.outcomes[1].status, PointOutcome::Status::Failed);
+    EXPECT_NE(degraded.outcomes[1].error.find(site), std::string::npos)
+        << degraded.outcomes[1].error;
+    EXPECT_EQ(degraded.rows[0], reference.rows[0]);
+    EXPECT_EQ(degraded.rows[2], reference.rows[2]);
+  }
 }
 
 TEST_F(RegisteredExperimentFaults, CancelledThenResumedRunMatchesExactly) {

@@ -132,6 +132,79 @@ TEST(Transient, MemristorStateAdvancesOnlyWithBias) {
   EXPECT_NEAR(model.conductanceNow(), 1e-4 + 0.305, 0.02);
 }
 
+TEST(MemristiveModelInterface, DefaultOperatingPointIsCurrentPlusFiniteDifference) {
+  // The base-class combined call is the toy-model path and the oracle the
+  // analytic overrides are checked against: current() plus the symmetric
+  // finite-difference conductance(), nothing else.
+  ToyMemristor model;
+  model.advance(0.7, 2e-9);
+  for (const double v : {-1.2, -0.3, 0.0, 1e-6, 0.45, 2.0}) {
+    const OperatingPoint op = model.operatingPoint(v);
+    EXPECT_EQ(op.current, model.current(v)) << "v=" << v;
+    EXPECT_EQ(op.conductance, model.conductance(v)) << "v=" << v;
+    const double h = 1e-5 + 1e-7 * std::fabs(v);
+    EXPECT_EQ(op.conductance, (model.current(v + h) - model.current(v - h)) / (2.0 * h))
+        << "v=" << v;
+  }
+}
+
+/// Linear device that counts which interface calls the engine makes.
+class CountingMemristor final : public MemristiveModel {
+ public:
+  double current(double v) const override {
+    ++currentCalls;
+    return kG * v;
+  }
+  double conductance(double) const override {
+    ++conductanceCalls;
+    return kG;
+  }
+  OperatingPoint operatingPoint(double v) const override {
+    ++operatingPointCalls;
+    return {kG * v, kG};
+  }
+  void advance(double, double) override {}
+
+  static constexpr double kG = 1e-3;
+  mutable int currentCalls = 0;
+  mutable int conductanceCalls = 0;
+  mutable int operatingPointCalls = 0;
+};
+
+TEST(MemristorStamp, MakesOneCombinedCallPerStamp) {
+  Circuit ckt;
+  const NodeId a = ckt.node("a");
+  CountingMemristor model;
+  const Memristor element("M1", a, ckt.ground(), &model);
+
+  nh::util::Matrix jacobian(1, 1, 0.0);
+  nh::util::Vector rhs(1, 0.0);
+  const nh::util::Vector x{0.4};
+  const nh::util::Vector xPrev{0.0};
+  StampContext ctx{&jacobian, nullptr, rhs, x, xPrev};
+  element.stamp(ctx);
+  EXPECT_EQ(model.operatingPointCalls, 1);
+  EXPECT_EQ(model.currentCalls, 0);
+  EXPECT_EQ(model.conductanceCalls, 0);
+  // Linear device: the companion current source cancels exactly.
+  EXPECT_DOUBLE_EQ(jacobian(0, 0), CountingMemristor::kG);
+  EXPECT_DOUBLE_EQ(rhs[0], 0.0);
+
+  // A whole DC solve: one combined call per Newton iteration.
+  CountingMemristor solved;
+  Circuit divider;
+  const NodeId in = divider.node("in");
+  const NodeId mid = divider.node("mid");
+  divider.emplace<VoltageSource>("V1", in, divider.ground(), 1.0);
+  divider.emplace<Resistor>("R1", in, mid, 1000.0);
+  divider.emplace<Memristor>("M1", mid, divider.ground(), &solved);
+  const SolveResult op = solveDc(divider);
+  ASSERT_TRUE(op.converged);
+  EXPECT_EQ(solved.operatingPointCalls, static_cast<int>(op.iterations));
+  EXPECT_EQ(solved.currentCalls, 0);
+  EXPECT_EQ(solved.conductanceCalls, 0);
+}
+
 TEST(Transient, RejectsNonPositiveStopTime) {
   Circuit ckt;
   TransientOptions opt;

@@ -126,6 +126,28 @@ TEST(CrosstalkHub, SolveCoupledExcessIncludesSelfAndNeighbours) {
   EXPECT_NEAR(excess(2, 1), t.at(0, 1) * rth * 1e-4, 1e-6);
 }
 
+TEST(CrosstalkHub, OutputParameterOverloadIsBitIdenticalAndReusesStorage) {
+  CrosstalkHub hub(6, 7, AlphaTable::analytic(30e-9));
+  nh::util::Matrix excess(6, 7, 0.0);
+  for (std::size_t r = 0; r < 6; ++r) {
+    for (std::size_t c = 0; c < 7; ++c) excess(r, c) = 3.0 * r + 0.7 * c * c + 1.0;
+  }
+  const nh::util::Matrix expected = hub.inputTemperatures(excess);
+  nh::util::Matrix out(6, 7, -1.0);  // stale contents must be overwritten
+  const double* storage = &out(0, 0);
+  hub.inputTemperatures(excess, out);
+  EXPECT_EQ(&out(0, 0), storage);
+  for (std::size_t r = 0; r < 6; ++r) {
+    for (std::size_t c = 0; c < 7; ++c) EXPECT_EQ(out(r, c), expected(r, c));
+  }
+  nh::util::Matrix unsized;
+  hub.inputTemperatures(excess, unsized);
+  ASSERT_EQ(unsized.rows(), 6u);
+  ASSERT_EQ(unsized.cols(), 7u);
+  EXPECT_EQ(unsized(5, 6), expected(5, 6));
+  EXPECT_THROW(hub.inputTemperatures(excess, excess), std::invalid_argument);
+}
+
 TEST(CrosstalkHub, ShapeValidation) {
   CrosstalkHub hub(3, 3, AlphaTable::analytic(50e-9));
   nh::util::Matrix wrong(2, 3, 0.0);

@@ -43,6 +43,25 @@ TEST(FastEngine, IdealModeSkipsNetworkSolve) {
   EXPECT_EQ(engine.newtonIterationsTotal(), 0u);
 }
 
+TEST(FastEngine, NewtonIterationCapIsReported) {
+  // A line-network solve that runs out of iterations is an error, not a
+  // silently unconverged set of line voltages.
+  CrossbarArray array(config3x3());
+  array.fill(CellState::Lrs);
+  FastEngineOptions opt;
+  opt.maxNewtonIterations = 1;
+  FastEngine engine(array, AlphaTable::analytic(50e-9), opt);
+  const LineBias bias = selectBias(BiasScheme::Half, 3, 3, 1, 1, 1.05);
+  try {
+    engine.applyBias(bias, 10e-9);
+    FAIL() << "expected SolverError";
+  } catch (const nh::util::SolverError& e) {
+    EXPECT_EQ(e.solve(), "fastsim.newton");
+    EXPECT_EQ(e.iterations(), 1u);
+    EXPECT_GT(e.residualNorm(), opt.newtonTol);
+  }
+}
+
 TEST(FastEngine, TimeAdvances) {
   CrossbarArray array(config3x3());
   FastEngine engine(array, AlphaTable::analytic(50e-9));
