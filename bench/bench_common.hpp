@@ -1,19 +1,16 @@
 #pragma once
-/// Shared helpers for the figure-reproduction benches: result directory
-/// handling, a consistent "paper vs measured" banner, and the one-call
-/// registry runner every experiment-backed driver reduces to.
+/// Shared helpers for the standalone benches: result directory handling and
+/// a consistent "paper vs measured" banner. Registered experiments run
+/// through `nh_sweep run <name>` instead.
 
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <filesystem>
 #include <string>
 
 #include "core/experiment.hpp"
-#include "core/experiment_registry.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
-#include "util/threadpool.hpp"
 
 namespace nh::bench {
 
@@ -40,46 +37,5 @@ inline void banner(const char* figure, const char* description,
 /// True when NH_FAST_BENCH is set: benches shrink budgets/grids so the whole
 /// suite completes quickly (CI smoke mode).
 inline bool fastMode() { return std::getenv("NH_FAST_BENCH") != nullptr; }
-
-/// Sweep worker count for the Fig. 3 harnesses (NH_THREADS override, else
-/// hardware concurrency), reported once on stdout so logged runs record it.
-/// The one-time report lives in a function-local static initializer, which
-/// the language runs exactly once under a lock -- safe to call from
-/// concurrent sweep workers (a plain `static bool reported` flag would be a
-/// data race on first use).
-inline std::size_t sweepThreads() {
-  static const std::size_t threads = [] {
-    const std::size_t t = nh::util::defaultThreadCount();
-    std::printf("sweep threads: %zu (override with NH_THREADS)\n", t);
-    return t;
-  }();
-  return threads;
-}
-
-/// The whole body of an experiment-backed bench driver: look the experiment
-/// up in the registry, print the banner, run the grid on the pool (fast
-/// mode via NH_FAST_BENCH), render the ASCII table, and emit the CSV + JSON
-/// series into resultsDir(). Returns the process exit code.
-inline int runRegistered(const std::string& name) try {
-  const nh::core::ExperimentSpec spec = nh::core::makeExperiment(name);
-  nh::core::printBanner(spec);
-
-  nh::core::RunOptions options;
-  options.threads = sweepThreads();
-  options.fast = fastMode();
-  const nh::core::ExperimentResult result =
-      nh::core::runExperiment(spec, options);
-
-  // Shaped results render as several tables (main + matrix grids + pivot).
-  for (const auto& table : nh::core::toAsciiTables(result)) table.print();
-  const auto files = nh::core::writeResultFiles(result, resultsDir());
-  std::printf("  series written to %s\n", files.csv.string().c_str());
-  std::printf("  json written to %s (config digest %s)\n",
-              files.json.string().c_str(), result.configDigest.c_str());
-  return 0;
-} catch (const std::exception& e) {
-  std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
-  return 1;
-}
 
 }  // namespace nh::bench

@@ -28,7 +28,6 @@
 #include "util/multigrid.hpp"
 #include "util/rng.hpp"
 #include "util/sparse.hpp"
-#include "util/spmv.hpp"
 #include "xbar/fastsim.hpp"
 
 namespace {
@@ -270,118 +269,6 @@ void BM_GmgHierarchyRecompute(benchmark::State& state) {
   state.counters["rows"] = static_cast<double>(m * m * m);
 }
 BENCHMARK(BM_GmgHierarchyRecompute)->Arg(64)->Unit(benchmark::kMillisecond);
-
-/// Direct row-kernel A/B on the 7-point fine FV operator at 64^3 (arg:
-/// 0 = scalar reference, 1 = the dispatched kernel -- AVX2 gather where the
-/// CPU has it, see the spmv_kernel context entry). Rows here are <= 7
-/// entries wide, so both arms use the 4-accumulator pattern; the SIMD win
-/// is the vectorised gather+multiply itself.
-void BM_SpMvSimdFine(benchmark::State& state) {
-  const std::size_t m = 64;
-  const std::size_t n = m * m * m;
-  const auto matrix = nh::util::makeSteadyFvOperator3d(m, 2.0);
-  const nh::util::spmv::RowRangeFn kernel =
-      state.range(0) == 0 ? &nh::util::spmv::rowRangeReference
-                          : nh::util::spmv::activeKernel();
-  nh::util::Vector x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = 1.0 + 1e-6 * static_cast<double>(i % 997);
-  }
-  nh::util::Vector y(n, 0.0);
-  for (auto _ : state) {
-    kernel(matrix.rowPtr().data(), matrix.colIdx().data(),
-           matrix.values().data(), x.data(), y.data(), 0, n);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.counters["rows"] = static_cast<double>(n);
-  state.counters["nnz"] = static_cast<double>(matrix.nonZeros());
-}
-BENCHMARK(BM_SpMvSimdFine)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/// Same A/B on the 27-point Galerkin coarse operator of the 64^3 hierarchy
-/// (32^3 rows, ~27 entries each): these rows clear the wide-row threshold,
-/// so the dispatched arm runs the register-blocked 8-accumulator path --
-/// the dense-ish shape the ISSUE targets for the double-digit SpMV gain.
-void BM_SpMvSimdGalerkin(benchmark::State& state) {
-  const std::size_t m = 64;
-  const std::size_t mc = (m + 1) / 2;
-  const auto fine = nh::util::makeSteadyFvOperator3d(m, 2.0);
-  const auto p = nh::util::buildTrilinearProlongation(m, m, m, mc, mc, mc);
-  const auto coarse =
-      nh::util::multiplySparse(p.transposed(), nh::util::multiplySparse(fine, p));
-  const std::size_t n = coarse.rows();
-  const nh::util::spmv::RowRangeFn kernel =
-      state.range(0) == 0 ? &nh::util::spmv::rowRangeReference
-                          : nh::util::spmv::activeKernel();
-  nh::util::Vector x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = 1.0 + 1e-6 * static_cast<double>(i % 997);
-  }
-  nh::util::Vector y(n, 0.0);
-
-  // The dispatched kernel must agree with the reference bit-for-bit; a
-  // mismatch would mean the A/B compares different arithmetic.
-  nh::util::Vector yRef(n, 0.0);
-  nh::util::spmv::rowRangeReference(coarse.rowPtr().data(),
-                                    coarse.colIdx().data(),
-                                    coarse.values().data(), x.data(),
-                                    yRef.data(), 0, n);
-  kernel(coarse.rowPtr().data(), coarse.colIdx().data(),
-         coarse.values().data(), x.data(), y.data(), 0, n);
-  if (y != yRef) {
-    state.SkipWithError("SIMD kernel disagrees with the scalar reference");
-    return;
-  }
-
-  for (auto _ : state) {
-    kernel(coarse.rowPtr().data(), coarse.colIdx().data(),
-           coarse.values().data(), x.data(), y.data(), 0, n);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.counters["rows"] = static_cast<double>(n);
-  state.counters["nnz"] = static_cast<double>(coarse.nonZeros());
-}
-BENCHMARK(BM_SpMvSimdGalerkin)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/// GMG-preconditioned CG at 64^3 with the lexicographic vs the red-black
-/// smoother (arg: 0 = lex, 1 = red-black), frozen preconditioner as in
-/// BM_CgFvSteadyLargeGrid. Red-black multiplies by the cached inverse
-/// diagonal instead of dividing per row and sweeps each color in parallel
-/// when threads are available; cg_iterations shows the (near-identical)
-/// convergence, time/iteration shows the V-cycle constant.
-void BM_RedBlackVsLex(benchmark::State& state) {
-  const std::size_t m = 64;
-  const std::size_t n = m * m * m;
-  const auto matrix = nh::util::makeSteadyFvOperator3d(m, 2.0);
-  nh::util::Vector b(n, 1e-6);
-  nh::util::CgWorkspace workspace;
-  nh::util::CgOptions options;
-  options.relTol = 1e-8;
-  options.maxIter = 50000;
-  options.preconditioner = nh::util::CgPreconditioner::Multigrid;
-  options.gridNx = options.gridNy = options.gridNz = m;
-  options.multigridSmoother = state.range(0) == 0
-                                  ? nh::util::MultigridSmoother::Lexicographic
-                                  : nh::util::MultigridSmoother::RedBlack;
-  nh::util::Vector x(n, 0.0);
-  nh::util::solveConjugateGradient(matrix, b, x, options, &workspace);
-  options.reusePreconditioner = true;
-
-  std::size_t iterations = 0;
-  bool converged = true;
-  for (auto _ : state) {
-    x.assign(n, 0.0);
-    const auto result =
-        nh::util::solveConjugateGradient(matrix, b, x, options, &workspace);
-    iterations = result.iterations;
-    converged = converged && result.converged;
-    benchmark::DoNotOptimize(x);
-  }
-  state.counters["cg_iterations"] = static_cast<double>(iterations);
-  state.counters["converged"] = converged ? 1.0 : 0.0;
-  state.counters["rows"] = static_cast<double>(n);
-}
-BENCHMARK(BM_RedBlackVsLex)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// One level of the Galerkin chain A_c = R (A P) at 64^3 -> 32^3, fresh
 /// SpGEMM vs plan refill (arg: 0 = fresh, 1 = refill). The refill arm also
@@ -653,17 +540,14 @@ BENCHMARK(BM_LineNetworkSolve)
     ->Args({64, 1})
     ->Unit(benchmark::kMicrosecond);
 
-/// The Schur backends head to head at real part sizes (arg0: array edge,
-/// arg1: 0 = seed dense complement, 1 = banded Thomas + dense complement,
-/// 2 = matrix-free Jacobi-CG). The dense complement is O(m^3) assembly +
-/// factorisation per Newton update; the CG path is O(m^2) per iteration
-/// with an iteration count that stays in the tens for these diagonally
-/// dominant networks -- the crossover is what makes the 1024x1024
-/// scaling_array_size row tractable, and the win is already decisive at
-/// 256x256.
+/// The Schur line solve at real part sizes (arg: array edge). solve()
+/// picks the path by bit-line count: the 64-line part runs the dense
+/// complement (O(m^3) assembly + factorisation per Newton update), the
+/// 256- and 512-line parts run the matrix-free Jacobi-CG (O(m^2) per
+/// iteration, iteration count in the tens for these diagonally dominant
+/// networks) -- what makes the 1024x1024 scaling_array_size row tractable.
 void BM_SchurLineSolveLarge(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
-  const int mode = static_cast<int>(state.range(1));
   nh::util::Rng rng(7);
   nh::util::Matrix g(m, m);
   nh::util::Vector d1(m, 0.02), d2(m, 0.02);
@@ -679,31 +563,20 @@ void BM_SchurLineSolveLarge(benchmark::State& state) {
   for (auto& v : residual) v = rng.uniform(-1e-3, 1e-3);
 
   nh::util::SchurComplementSolver solver;
-  solver.options().mode = mode == 2 ? nh::util::SchurOptions::Mode::Iterative
-                                    : nh::util::SchurOptions::Mode::Dense;
-  const auto a1 = nh::util::TridiagonalView::diagonal(d1);
-  const auto a2 = nh::util::TridiagonalView::diagonal(d2);
   nh::util::Vector x;
   for (auto _ : state) {
-    const bool ok = mode == 0 ? solver.solve(d1, d2, g, residual, x)
-                              : solver.solveBanded(a1, a2, g, residual, x);
+    const bool ok = solver.solve(d1, d2, g, residual, x);
     benchmark::DoNotOptimize(ok);
     benchmark::DoNotOptimize(x);
   }
-  if (mode == 2) {
-    state.counters["cg_iterations"] =
-        static_cast<double>(solver.lastIterative().iterations);
-  }
+  state.counters["cg_iterations"] =
+      static_cast<double>(solver.lastIterative().iterations);
   state.counters["rows"] = static_cast<double>(2 * m);
 }
 BENCHMARK(BM_SchurLineSolveLarge)
-    ->Args({64, 0})
-    ->Args({64, 2})
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({512, 0})
-    ->Args({512, 2})
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
 /// Full-array distributed-line MNA DC solve, dense vs sparse stamping
@@ -813,10 +686,6 @@ int main(int argc, char** argv) {
 #endif
   }
   benchmark::AddCustomContext("nh_build_type", nhBuildType);
-  // Which SpMV row kernel the dispatcher picked on this machine ("avx2" or
-  // "scalar") -- the BM_SpMvSimd* arg-1 arms measure this kernel.
-  benchmark::AddCustomContext("spmv_kernel",
-                              nh::util::spmv::activeKernelName());
   std::vector<std::string> args(argv, argv + argc);
   bool hasOut = false;
   bool hasFormat = false;

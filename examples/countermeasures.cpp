@@ -69,6 +69,6 @@ int main() {
 
   std::printf("summary: scrubbing and V/3 biasing stop the attack; activation\n");
   std::printf("monitors detect it early; throttling is useless; spacing trades\n");
-  std::printf("density for attacker effort (see bench/ablation_scheme_defense).\n");
+  std::printf("density for attacker effort (see nh_sweep run ablation_scheme_defense).\n");
   return 0;
 }

@@ -42,7 +42,7 @@ int main() {
                 2.0 * result.stressTime);
   } else {
     std::printf("no flip within %zu pulses -- try a tighter spacing or a\n"
-                "hotter ambient (see bench/fig3b_electrode_spacing).\n",
+                "hotter ambient (see nh_sweep run fig3b_electrode_spacing).\n",
                 result.pulsesApplied);
   }
   return result.flipped ? 0 : 1;

@@ -256,20 +256,13 @@ std::uint64_t hashStudyConfig(std::uint64_t h, const StudyConfig& c) {
       e.relaxBetweenPulses ? 1.0 : 0.0, e.enableBatching ? 1.0 : 0.0,
       e.batchDriftLimit, static_cast<double>(e.maxBatch), e.newtonTol,
       static_cast<double>(e.maxNewtonIterations), e.useSchurSolve ? 1.0 : 0.0,
-      static_cast<double>(e.schurMode),
-      static_cast<double>(e.schurIterativeMinCols),
+      // Retired Schur knobs (schurMode = Auto = 3, schurIterativeMinCols =
+      // 128): their behaviour is fixed now, and hashing the old defaults as
+      // constants keeps every recorded baseline and checkpoint digest valid.
+      3.0, 128.0,
       // DetectorConfig
       d.readVoltage, d.rLrsMax, d.rHrsMin};
   for (const double v : fields) h = fnv1a(h, nh::util::formatDouble(v));
-  // Later-added option fields are hashed only when they differ from their
-  // defaults: hashing them unconditionally would shift every digest recorded
-  // before the field existed (checkpoints, baseline files), while the
-  // conditional keeps old digests stable AND still separates any two configs
-  // operator== distinguishes.
-  if (f.multigridSmoother != nh::util::MultigridSmoother::Lexicographic) {
-    h = fnv1a(h, "multigridSmoother=" +
-                     std::to_string(static_cast<int>(f.multigridSmoother)));
-  }
   return h;
 }
 

@@ -1280,7 +1280,7 @@ ExperimentSpec scalingArraySizeSpec() {
       "centre cell does not improve with array size, so megabit parts are",
       "exactly as hammerable as the 5x5 test structures. The wall-clock",
       "columns document the solver refactor that makes the 1024x1024 row",
-      "tractable (banded Schur + matrix-free CG + sparse MNA)."};
+      "tractable (matrix-free Schur CG + sparse MNA)."};
   return spec;
 }
 

@@ -16,6 +16,10 @@ namespace {
 /// Sentinel for SparseLu's row -> pivot-position map.
 constexpr std::size_t kUnpivoted = static_cast<std::size_t>(-1);
 
+// Convergence controls of the Schur-complement CG path.
+constexpr double kSchurCgRelTol = 1e-12;
+constexpr std::size_t kSchurCgMaxIter = 4000;
+
 std::string solverErrorMessage(const std::string& solve,
                                const std::string& detail,
                                std::size_t iterations, double residualNorm) {
@@ -141,13 +145,30 @@ Vector solveDense(const Matrix& a, const Vector& b) {
   return f->solve(b);
 }
 
+SchurComplementSolver::SchurComplementSolver() = default;
+SchurComplementSolver::~SchurComplementSolver() = default;
+SchurComplementSolver::SchurComplementSolver(SchurComplementSolver&&) noexcept =
+    default;
+SchurComplementSolver& SchurComplementSolver::operator=(
+    SchurComplementSolver&&) noexcept = default;
+
 bool SchurComplementSolver::solve(const Vector& d1, const Vector& d2,
                                   const Matrix& g, const Vector& r, Vector& x) {
-  const std::size_t n1 = d1.size();
-  const std::size_t n2 = d2.size();
-  if (g.rows() != n1 || g.cols() != n2 || r.size() != n1 + n2) {
+  if (g.rows() != d1.size() || g.cols() != d2.size() ||
+      r.size() != d1.size() + d2.size()) {
     throw std::invalid_argument("SchurComplementSolver: shape mismatch");
   }
+  lastIterative_ = {};
+  return d2.size() < kIterativeMinCols ? solveDenseComplement(d1, d2, g, r, x)
+                                       : solveIterative(d1, d2, g, r, x);
+}
+
+bool SchurComplementSolver::solveDenseComplement(const Vector& d1,
+                                                 const Vector& d2,
+                                                 const Matrix& g,
+                                                 const Vector& r, Vector& x) {
+  const std::size_t n1 = d1.size();
+  const std::size_t n2 = d2.size();
   if (schur_.rows() != n2 || schur_.cols() != n2) schur_.resize(n2, n2, 0.0);
   schur_.fill(0.0);
   rhs_.resize(n2);
@@ -186,185 +207,15 @@ bool SchurComplementSolver::solve(const Vector& d1, const Vector& d2,
   return true;
 }
 
-SchurComplementSolver::SchurComplementSolver() = default;
-SchurComplementSolver::SchurComplementSolver(SchurOptions options)
-    : options_(options) {}
-SchurComplementSolver::~SchurComplementSolver() = default;
-SchurComplementSolver::SchurComplementSolver(SchurComplementSolver&&) noexcept =
-    default;
-SchurComplementSolver& SchurComplementSolver::operator=(
-    SchurComplementSolver&&) noexcept = default;
+bool SchurComplementSolver::solveIterative(const Vector& d1, const Vector& d2,
+                                           const Matrix& g, const Vector& r,
+                                           Vector& x) {
+  const std::size_t n1 = d1.size();
+  const std::size_t n2 = d2.size();
 
-bool TridiagonalFactor::factor(const TridiagonalView& a) {
-  valid_ = false;
-  const std::size_t n = a.n;
-  if (n == 0 || a.diag == nullptr) return false;
-  m_.resize(n);
-  c_.resize(n - 1);
-  lower_.resize(n - 1);
-  if (a.lower != nullptr) {
-    std::copy(a.lower, a.lower + (n - 1), lower_.begin());
-  } else {
-    std::fill(lower_.begin(), lower_.end(), 0.0);
-  }
-
-  // Thomas elimination, same recurrences as solveTridiagonal: the scaled
-  // upper diagonal c and the pivots m are all a solve needs.
-  double m = a.diag[0];
-  if (!(std::fabs(m) > 1e-300) || !std::isfinite(m)) return false;
-  m_[0] = m;
-  for (std::size_t i = 1; i < n; ++i) {
-    const double u = a.upper != nullptr ? a.upper[i - 1] : 0.0;
-    c_[i - 1] = u / m_[i - 1];
-    m = a.diag[i] - lower_[i - 1] * c_[i - 1];
-    if (!(std::fabs(m) > 1e-300) || !std::isfinite(m)) return false;
-    m_[i] = m;
-  }
-  valid_ = true;
-  return true;
-}
-
-void TridiagonalFactor::solveInPlace(Vector& b) const {
-  assert(b.size() == m_.size());
-  solveInPlace(b.data());
-}
-
-void TridiagonalFactor::solveInPlace(double* b) const {
-  assert(valid_);
-  const std::size_t n = m_.size();
-  b[0] /= m_[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    b[i] = (b[i] - lower_[i - 1] * b[i - 1]) / m_[i];
-  }
-  for (std::size_t ii = n - 1; ii-- > 0;) b[ii] -= c_[ii] * b[ii + 1];
-}
-
-void TridiagonalFactor::solveRowsInPlace(Matrix& b) const {
-  assert(valid_);
-  assert(b.rows() == m_.size());
-  const std::size_t n = m_.size();
-  const std::size_t m = b.cols();
-  double* row0 = b.data();
-  const double inv0 = 1.0 / m_[0];
-  for (std::size_t c = 0; c < m; ++c) row0[c] *= inv0;
-  for (std::size_t i = 1; i < n; ++i) {
-    double* row = b.data() + i * m;
-    const double* prev = row - m;
-    const double l = lower_[i - 1];
-    const double inv = 1.0 / m_[i];
-    for (std::size_t c = 0; c < m; ++c) row[c] = (row[c] - l * prev[c]) * inv;
-  }
-  for (std::size_t ii = n - 1; ii-- > 0;) {
-    double* row = b.data() + ii * m;
-    const double* next = row + m;
-    const double ci = c_[ii];
-    for (std::size_t c = 0; c < m; ++c) row[c] -= ci * next[c];
-  }
-}
-
-namespace {
-
-/// y = A v for a tridiagonal view.
-void tridiagonalMultiply(const TridiagonalView& a, const Vector& v, Vector& y) {
-  const std::size_t n = a.n;
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = a.diag[i] * v[i];
-    if (a.lower != nullptr && i > 0) acc += a.lower[i - 1] * v[i - 1];
-    if (a.upper != nullptr && i + 1 < n) acc += a.upper[i] * v[i + 1];
-    y[i] = acc;
-  }
-}
-
-}  // namespace
-
-bool SchurComplementSolver::solveBanded(const TridiagonalView& a1,
-                                        const TridiagonalView& a2,
-                                        const Matrix& g, const Vector& r,
-                                        Vector& x) {
-  if (g.rows() != a1.n || g.cols() != a2.n || r.size() != a1.n + a2.n) {
-    throw std::invalid_argument("SchurComplementSolver::solveBanded: shape mismatch");
-  }
-  lastIterative_ = {};
-  bool iterative = false;
-  switch (options_.mode) {
-    case SchurOptions::Mode::Dense:
-      break;
-    case SchurOptions::Mode::Iterative:
-      iterative = true;
-      break;
-    case SchurOptions::Mode::Auto:
-      iterative = a2.n >= options_.iterativeMinCols;
-      break;
-  }
-  return iterative ? solveBandedIterative(a1, a2, g, r, x)
-                   : solveBandedDense(a1, a2, g, r, x);
-}
-
-bool SchurComplementSolver::solveBandedDense(const TridiagonalView& a1,
-                                             const TridiagonalView& a2,
-                                             const Matrix& g, const Vector& r,
-                                             Vector& x) {
-  const std::size_t n1 = a1.n;
-  const std::size_t n2 = a2.n;
-  if (!a1Factor_.factor(a1)) return false;
-
-  // W = A1^-1 G, all columns at once: the Thomas recurrences are per
-  // column, but sweeping whole rows keeps the row-major accesses streaming.
-  if (w_.rows() != n1 || w_.cols() != n2) w_.resize(n1, n2, 0.0);
-  std::copy(g.data(), g.data() + n1 * n2, w_.data());
-  a1Factor_.solveRowsInPlace(w_);
-
-  // S = A2 - G^T W and rhs2 = r2 + G^T (A1^-1 r1).
-  t1_.assign(r.begin(), r.begin() + n1);
-  a1Factor_.solveInPlace(t1_);
-  if (schur_.rows() != n2 || schur_.cols() != n2) schur_.resize(n2, n2, 0.0);
-  schur_.fill(0.0);
-  rhs_.resize(n2);
-  for (std::size_t c = 0; c < n2; ++c) rhs_[c] = r[n1 + c];
-  for (std::size_t i = 0; i < n1; ++i) {
-    const double* gRow = g.data() + i * n2;
-    const double* wRow = w_.data() + i * n2;
-    const double t1i = t1_[i];
-    for (std::size_t c1 = 0; c1 < n2; ++c1) {
-      const double gv = gRow[c1];
-      rhs_[c1] += gv * t1i;
-      if (gv == 0.0) continue;
-      double* s = schur_.data() + c1 * n2;
-      for (std::size_t c2 = 0; c2 < n2; ++c2) s[c2] -= gv * wRow[c2];
-    }
-  }
-  for (std::size_t c = 0; c < n2; ++c) {
-    schur_(c, c) += a2.diag[c];
-    if (a2.lower != nullptr && c > 0) schur_(c, c - 1) += a2.lower[c - 1];
-    if (a2.upper != nullptr && c + 1 < n2) schur_(c, c + 1) += a2.upper[c];
-  }
-
-  if (!lu_.refactor(schur_)) return false;
-  lu_.solveInPlace(rhs_);  // now x2
-
-  x.resize(n1 + n2);
-  for (std::size_t i = 0; i < n1; ++i) {
-    double acc = r[i];
-    const double* gRow = g.data() + i * n2;
-    for (std::size_t c = 0; c < n2; ++c) acc += gRow[c] * rhs_[c];
-    x[i] = acc;
-  }
-  a1Factor_.solveInPlace(x.data());
-  for (std::size_t c = 0; c < n2; ++c) x[n1 + c] = rhs_[c];
-  return true;
-}
-
-bool SchurComplementSolver::solveBandedIterative(const TridiagonalView& a1,
-                                                 const TridiagonalView& a2,
-                                                 const Matrix& g,
-                                                 const Vector& r, Vector& x) {
-  const std::size_t n1 = a1.n;
-  const std::size_t n2 = a2.n;
-  if (!a1Factor_.factor(a1)) return false;
-
-  // rhs2 = r2 + G^T (A1^-1 r1).
-  t1_.assign(r.begin(), r.begin() + n1);
-  a1Factor_.solveInPlace(t1_);
+  // rhs2 = r2 + G^T (diag(d1)^-1 r1).
+  t1_.resize(n1);
+  for (std::size_t i = 0; i < n1; ++i) t1_[i] = r[i] / d1[i];
   rhs_.resize(n2);
   for (std::size_t c = 0; c < n2; ++c) rhs_[c] = r[n1 + c];
   for (std::size_t i = 0; i < n1; ++i) {
@@ -374,34 +225,30 @@ bool SchurComplementSolver::solveBandedIterative(const TridiagonalView& a1,
     for (std::size_t c = 0; c < n2; ++c) rhs_[c] += gRow[c] * t1i;
   }
 
-  // Jacobi preconditioner on diag(S) = diag(A2) - sum_i g(i,c)^2 / a1(i,i)
-  // -- exact for a diagonal A1 (the lumped line network), a close
-  // approximation for the diagonally dominant tridiagonal case.
+  // Exact Jacobi preconditioner: diag(S) = d2 - sum_i g(i,c)^2 / d1(i).
   invDiag_.assign(n2, 0.0);
   for (std::size_t i = 0; i < n1; ++i) {
     const double* gRow = g.data() + i * n2;
-    const double invA1 = 1.0 / a1.diag[i];
+    const double invD1 = 1.0 / d1[i];
     for (std::size_t c = 0; c < n2; ++c) {
-      invDiag_[c] += gRow[c] * gRow[c] * invA1;
+      invDiag_[c] += gRow[c] * gRow[c] * invD1;
     }
   }
   for (std::size_t c = 0; c < n2; ++c) {
-    const double d = a2.diag[c] - invDiag_[c];
+    const double d = d2[c] - invDiag_[c];
     invDiag_[c] = std::fabs(d) > 1e-300 ? 1.0 / d : 1.0;
   }
 
-  // Matrix-free S x = A2 x - G^T (A1^-1 (G x)): O(n1 n2) per application,
-  // never materialising the (fully dense) complement.
+  // Matrix-free S x = diag(d2) x - G^T (diag(d1)^-1 (G x)): O(n1 n2) per
+  // application, never materialising the (fully dense) complement.
   const auto applyS = [&](const Vector& v, Vector& y) {
-    t1_.resize(n1);
     for (std::size_t i = 0; i < n1; ++i) {
       const double* gRow = g.data() + i * n2;
       double acc = 0.0;
       for (std::size_t c = 0; c < n2; ++c) acc += gRow[c] * v[c];
-      t1_[i] = acc;
+      t1_[i] = acc / d1[i];
     }
-    a1Factor_.solveInPlace(t1_);
-    tridiagonalMultiply(a2, v, y);
+    for (std::size_t c = 0; c < n2; ++c) y[c] = d2[c] * v[c];
     for (std::size_t i = 0; i < n1; ++i) {
       const double* gRow = g.data() + i * n2;
       const double t1i = t1_[i];
@@ -412,10 +259,9 @@ bool SchurComplementSolver::solveBandedIterative(const TridiagonalView& a1,
 
   if (!cgWs_) cgWs_ = std::make_unique<CgWorkspace>();
   x2_.assign(n2, 0.0);
-  lastIterative_ =
-      solveConjugateGradientOperator(n2, applyS, invDiag_, rhs_, x2_,
-                                     options_.cgRelTol, options_.cgMaxIter,
-                                     cgWs_.get());
+  lastIterative_ = solveConjugateGradientOperator(
+      n2, applyS, invDiag_, rhs_, x2_, kSchurCgRelTol, kSchurCgMaxIter,
+      cgWs_.get());
   if (!lastIterative_.converged) return false;
 
   x.resize(n1 + n2);
@@ -423,9 +269,8 @@ bool SchurComplementSolver::solveBandedIterative(const TridiagonalView& a1,
     double acc = r[i];
     const double* gRow = g.data() + i * n2;
     for (std::size_t c = 0; c < n2; ++c) acc += gRow[c] * x2_[c];
-    x[i] = acc;
+    x[i] = acc / d1[i];
   }
-  a1Factor_.solveInPlace(x.data());
   for (std::size_t c = 0; c < n2; ++c) x[n1 + c] = x2_[c];
   return true;
 }
@@ -567,7 +412,6 @@ IterativeResult solveConjugateGradient(const SparseMatrix& a, const Vector& b,
       mgOptions.nx = options.gridNx;
       mgOptions.ny = options.gridNy;
       mgOptions.nz = options.gridNz;
-      mgOptions.smoother = options.multigridSmoother;
       useMg = ws.mg_->compute(a, mgOptions);
       ws.mgFailed_ = !useMg;
     }

@@ -1,12 +1,10 @@
 #include "util/multigrid.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 #include "util/cancellation.hpp"
 #include "util/faultinject.hpp"
-#include "util/threadpool.hpp"
 
 namespace nh::util {
 
@@ -115,97 +113,6 @@ void gaussSeidelBackward(const SparseMatrix& a, const Vector& b, Vector& x) {
   }
 }
 
-/// Per-color row count at/above which one color's sweep fans out over the
-/// shared thread pool; below it the fork/join overhead dominates.
-constexpr std::size_t kParallelSweepMinRows = 8192;
-
-/// One multicolor Gauss-Seidel sweep. Colors run in ascending order for the
-/// forward sweep and descending for the adjoint (backward) sweep; rows
-/// within one color touch no other row of that color (the coloring
-/// guarantee), so they update independently -- serially or over the pool,
-/// the result is identical.
-void multicolorSweep(const SparseMatrix& a, const Vector& invDiag,
-                     const std::vector<std::size_t>& colorPtr,
-                     const std::vector<std::size_t>& colorOrder,
-                     const Vector& b, Vector& x, bool reverseColors) {
-  const auto& rowPtr = a.rowPtr();
-  const auto& colIdx = a.colIdx();
-  const auto& val = a.values();
-  const std::size_t colorCount = colorPtr.size() - 1;
-  for (std::size_t step = 0; step < colorCount; ++step) {
-    const std::size_t c = reverseColors ? colorCount - 1 - step : step;
-    const std::size_t begin = colorPtr[c];
-    const std::size_t end = colorPtr[c + 1];
-    const auto sweepRange = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t r = colorOrder[i];
-        double acc = b[r];
-        for (std::size_t k = rowPtr[r]; k < rowPtr[r + 1]; ++k) {
-          const std::size_t cc = colIdx[k];
-          if (cc != r) acc -= val[k] * x[cc];
-        }
-        x[r] = acc * invDiag[r];  // division hoisted to compute() time
-      }
-    };
-    const std::size_t count = end - begin;
-    ThreadPool& pool = ThreadPool::shared();
-    if (count < kParallelSweepMinRows || pool.size() < 2) {
-      sweepRange(begin, end);
-      continue;
-    }
-    const std::size_t chunks = std::min(count, pool.size() + 1);
-    const std::size_t per = (count + chunks - 1) / chunks;
-    pool.parallelFor(chunks, [&](std::size_t chunk) {
-      const std::size_t lo = begin + chunk * per;
-      sweepRange(lo, std::min(end, lo + per));
-    });
-  }
-}
-
-/// Greedy sequential coloring of the operator's adjacency graph plus the
-/// inverse diagonal. Correct for structurally symmetric matrices (every SPD
-/// operator GMG accepts): row r's stored columns enumerate all of its
-/// neighbours, so no two rows with a direct coupling end up in one color.
-/// Yields 2 colors on the 7-point fine stencils and up to ~8 on the
-/// 27-point Galerkin coarse operators. O(nnz).
-void buildSmootherData(const SparseMatrix& a, Vector& invDiag,
-                       std::vector<std::size_t>& colorPtr,
-                       std::vector<std::size_t>& colorOrder) {
-  const auto& rowPtr = a.rowPtr();
-  const auto& colIdx = a.colIdx();
-  const auto& val = a.values();
-  const std::size_t n = a.rows();
-  constexpr std::size_t kUncolored = static_cast<std::size_t>(-1);
-
-  invDiag.assign(n, 0.0);
-  std::vector<std::size_t> color(n, kUncolored);
-  std::vector<char> used;  // scratch: colors taken by already-colored peers
-  std::size_t colorCount = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    used.assign(colorCount + 1, 0);
-    for (std::size_t k = rowPtr[r]; k < rowPtr[r + 1]; ++k) {
-      const std::size_t c = colIdx[k];
-      if (c == r) {
-        invDiag[r] = 1.0 / val[k];  // nonzero via hasUsableDiagonal()
-      } else if (color[c] != kUncolored) {
-        used[color[c]] = 1;
-      }
-    }
-    std::size_t pick = 0;
-    while (used[pick]) ++pick;
-    color[r] = pick;
-    colorCount = std::max(colorCount, pick + 1);
-  }
-
-  // Counting sort rows by color; ascending row order within each color.
-  colorPtr.assign(colorCount + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) colorPtr[color[r] + 1]++;
-  for (std::size_t c = 0; c < colorCount; ++c) colorPtr[c + 1] += colorPtr[c];
-  colorOrder.resize(n);
-  std::vector<std::size_t> cursor(colorPtr.begin(), colorPtr.end() - 1);
-  for (std::size_t r = 0; r < n; ++r) colorOrder[cursor[color[r]]++] = r;
-}
-
 }  // namespace
 
 SparseMatrix buildTrilinearProlongation(std::size_t nx, std::size_t ny,
@@ -288,21 +195,6 @@ bool GeometricMultigrid::compute(const SparseMatrix& a, const Options& options) 
     current = &level.coarseA;
   }
 
-  // RedBlack smoother state: recolor + refresh the inverse diagonal for
-  // every smoothed operator (the coarsest is LU-solved, never smoothed).
-  // Coloring is O(nnz) per level, dwarfed by the Galerkin products above.
-  if (options_.smoother == MultigridSmoother::RedBlack) {
-    smoothers_.resize(levels_.size());
-    const SparseMatrix* op = &a;
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      buildSmootherData(*op, smoothers_[l].invDiag, smoothers_[l].colorPtr,
-                        smoothers_[l].colorOrder);
-      op = &levels_[l].coarseA;
-    }
-  } else {
-    smoothers_.clear();
-  }
-
   // Direct solve at the bottom: densify and LU-factor once.
   const SparseMatrix& coarse = levels_.back().coarseA;
   const std::size_t nc = coarse.rows();
@@ -325,15 +217,8 @@ void GeometricMultigrid::cycle(std::size_t l, const Vector& b, Vector& x) const 
     coarseLu_.solveInPlace(x);
     return;
   }
-  const bool redBlack = options_.smoother == MultigridSmoother::RedBlack;
   for (std::size_t s = 0; s < options_.preSmooth; ++s) {
-    if (redBlack) {
-      const SmootherData& sm = smoothers_[l];
-      multicolorSweep(a, sm.invDiag, sm.colorPtr, sm.colorOrder, b, x,
-                      /*reverseColors=*/false);
-    } else {
-      gaussSeidelForward(a, b, x);
-    }
+    gaussSeidelForward(a, b, x);
   }
 
   Vector& res = l == 0 ? fineScratch_ : levels_[l - 1].scratch;
@@ -350,17 +235,8 @@ void GeometricMultigrid::cycle(std::size_t l, const Vector& b, Vector& x) const 
   next.prolong.multiplyInto(next.x, res);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] += res[i];
 
-  // The adjoint of the ascending-color sweep is the descending-color sweep
-  // (within a color the update is Jacobi-like, its own adjoint), so the
-  // pre/post pairing keeps the V-cycle a symmetric preconditioner either way.
   for (std::size_t s = 0; s < options_.postSmooth; ++s) {
-    if (redBlack) {
-      const SmootherData& sm = smoothers_[l];
-      multicolorSweep(a, sm.invDiag, sm.colorPtr, sm.colorOrder, b, x,
-                      /*reverseColors=*/true);
-    } else {
-      gaussSeidelBackward(a, b, x);
-    }
+    gaussSeidelBackward(a, b, x);
   }
 }
 

@@ -90,17 +90,15 @@ void SparseMatrix::multiplyInto(const Vector& x, Vector& y) const {
   assert(x.size() == cols_);
   assert(y.size() == rows_);
   // The row kernel (util/spmv) picks 4- or 8-accumulator blocking per row
-  // width and is dispatched once per process to the best SIMD variant; every
-  // variant is bit-identical to spmv::rowRangeReference, and the order per
-  // row is fixed, so results stay deterministic for any thread count.
-  const spmv::RowRangeFn kernel = spmv::activeKernel();
+  // width; the order per row is fixed, so results stay deterministic for any
+  // thread count.
   const std::size_t* rp = rowPtr_.data();
   const std::size_t* col = colIdx_.data();
   const double* val = values_.data();
   const double* xs = x.data();
   double* ys = y.data();
   const auto rowRange = [&](std::size_t begin, std::size_t end) {
-    kernel(rp, col, val, xs, ys, begin, end);
+    spmv::rowRangeReference(rp, col, val, xs, ys, begin, end);
   };
   if (rows_ < kParallelSpmvMinRows) {
     rowRange(0, rows_);

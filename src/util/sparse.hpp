@@ -64,16 +64,15 @@ class SparseMatrix {
   /// y = A * x.
   Vector multiply(const Vector& x) const;
   /// y = A * x without allocation; \p y must have rows() elements. Rows run
-  /// through the process-best spmv kernel (AVX2 gather when available, the
-  /// scalar reference otherwise -- bit-identical either way, see
-  /// util/spmv.hpp). Large matrices split the row range over the shared
-  /// thread pool; the result is bit-identical to the serial loop for any
-  /// thread count (each row is one independent ordered accumulation).
+  /// through spmv::rowRangeReference (util/spmv.hpp). Large matrices split
+  /// the row range over the shared thread pool; the result is bit-identical
+  /// to the serial loop for any thread count (each row is one independent
+  /// ordered accumulation).
   void multiplyInto(const Vector& x, Vector& y) const;
 
-  /// y = A * x on the scalar reference kernel, single-threaded. The
-  /// always-correct baseline the SIMD path is verified against; tests assert
-  /// multiplyInto agrees with this bit-for-bit.
+  /// y = A * x on the same row kernel, single-threaded. The serial oracle
+  /// the thread-pool split is verified against; tests assert multiplyInto
+  /// agrees with this bit-for-bit.
   void multiplyIntoReference(const Vector& x, Vector& y) const;
 
   /// Transposed copy, O(nnz); rows of the result keep sorted columns. Used

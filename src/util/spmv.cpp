@@ -1,8 +1,5 @@
 #include "util/spmv.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace nh::util::spmv {
 
 void rowRangeReference(const std::size_t* rowPtr, const std::size_t* colIdx,
@@ -48,47 +45,6 @@ void rowRangeReference(const std::size_t* rowPtr, const std::size_t* colIdx,
   }
 }
 
-#if defined(NH_SPMV_AVX2)
-namespace detail {
-// Defined in spmv_avx2.cpp (the only TU compiled with -mavx2). Safe to call
-// only after __builtin_cpu_supports("avx2") returned true.
-void rowRangeAvx2(const std::size_t* rowPtr, const std::size_t* colIdx,
-                  const double* val, const double* x, double* y,
-                  std::size_t begin, std::size_t end);
-}  // namespace detail
-#endif
-
-namespace {
-
-struct ResolvedKernel {
-  RowRangeFn fn = &rowRangeReference;
-  const char* name = "scalar";
-};
-
-ResolvedKernel resolve() {
-  ResolvedKernel k;
-  // NH_SPMV=scalar pins the reference kernel: used by the BM_SpMvSimd
-  // benchmarks for in-binary A/B runs and for debugging dispatch issues.
-  const char* env = std::getenv("NH_SPMV");
-  if (env != nullptr && std::strcmp(env, "scalar") == 0) return k;
-#if defined(NH_SPMV_AVX2)
-  if (__builtin_cpu_supports("avx2")) {
-    k.fn = &detail::rowRangeAvx2;
-    k.name = "avx2";
-  }
-#endif
-  return k;
-}
-
-const ResolvedKernel& resolved() {
-  static const ResolvedKernel k = resolve();
-  return k;
-}
-
-}  // namespace
-
-RowRangeFn activeKernel() { return resolved().fn; }
-
-const char* activeKernelName() { return resolved().name; }
+const char* activeKernelName() { return "scalar"; }
 
 }  // namespace nh::util::spmv

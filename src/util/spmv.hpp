@@ -1,25 +1,16 @@
 #pragma once
 /// \file spmv.hpp
-/// CSR sparse matrix-vector row kernels: a portable scalar reference and a
-/// runtime-dispatched SIMD implementation that must match it bit-for-bit.
-///
-/// The arithmetic *specification* lives in rowRangeReference:
+/// CSR sparse matrix-vector row kernel. rowRangeReference fixes the
+/// accumulation order:
 ///  * narrow rows (< kWideRowMinEntries entries) use the 4-accumulator
 ///    stride-4 pattern the solver stack has always used (lane i accumulates
 ///    entries k, k+4, k+8, ...; lanes reduce as (a0+a1)+(a2+a3); remaining
 ///    entries fold into the reduced sum one by one) -- bit-identical to the
-///    pre-SIMD kernel, which keeps the tracked experiment baselines intact,
+///    original kernel, which keeps the tracked experiment baselines intact,
 ///  * wide rows (>= kWideRowMinEntries, i.e. the dense-ish 27-point Galerkin
 ///    coarse rows and the full-weighting restriction rows) are routed
 ///    through a register-blocked 8-accumulator path (two 4-lane blocks per
 ///    step, reduced as ((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7))).
-///
-/// The SIMD kernels implement the *same* sequence of IEEE mul/add operations
-/// with vector lanes standing in for the scalar accumulators -- deliberately
-/// no FMA, because contraction would round differently per target and break
-/// both the exact-agreement tests and result reproducibility across
-/// machines. activeKernel() therefore returns bit-identical results on every
-/// host, SIMD or not.
 
 #include <cstddef>
 
@@ -31,27 +22,15 @@ namespace nh::util::spmv {
 /// while catching the 27-point Galerkin coarse rows and the restriction rows.
 constexpr std::size_t kWideRowMinEntries = 16;
 
-/// Kernel contract: for every row r in [begin, end), y[r] = sum_k val[k] *
-/// x[colIdx[k]] over the row's CSR range, accumulated in the exact blocked
-/// order defined by rowRangeReference. Rows outside [begin, end) are not
-/// touched, so disjoint ranges may run on different threads.
-using RowRangeFn = void (*)(const std::size_t* rowPtr,
-                            const std::size_t* colIdx, const double* val,
-                            const double* x, double* y, std::size_t begin,
-                            std::size_t end);
-
-/// Portable scalar reference -- the arithmetic specification above.
+/// For every row r in [begin, end), y[r] = sum_k val[k] * x[colIdx[k]] over
+/// the row's CSR range, accumulated in the blocked order above. Rows outside
+/// [begin, end) are not touched, so disjoint ranges may run on different
+/// threads.
 void rowRangeReference(const std::size_t* rowPtr, const std::size_t* colIdx,
                        const double* val, const double* x, double* y,
                        std::size_t begin, std::size_t end);
 
-/// Best kernel for this process, resolved once: the AVX2 gather kernel when
-/// it was compiled in and the CPU supports it, otherwise the scalar
-/// reference. NH_SPMV=scalar forces the reference (kernel A/B benchmarks and
-/// debugging). Always bit-identical to rowRangeReference.
-RowRangeFn activeKernel();
-
-/// "avx2" or "scalar" -- recorded in the perf-bench context.
+/// Always "scalar" (the only kernel); recorded in the perf-bench context.
 const char* activeKernelName();
 
 }  // namespace nh::util::spmv

@@ -110,7 +110,7 @@ void FastEngine::solveNetwork(const LineBias& bias) {
     }
 
     if (options_.useSchurSolve) {
-      solveNetworkSchur(rows, cols);
+      solveNetworkSchur();
     } else {
       solveNetworkDense(rows, cols);
     }
@@ -144,32 +144,14 @@ void FastEngine::solveNetwork(const LineBias& bias) {
   }
 }
 
-void FastEngine::solveNetworkSchur(std::size_t rows, std::size_t cols) {
+void FastEngine::solveNetworkSchur() {
   // Word lines couple only to bit lines: the Jacobian is the bipartite block
   // system SchurComplementSolver handles in O(rows*cols^2) instead of the
-  // O((rows+cols)^3) dense factorisation. Above the Auto crossover the
-  // matrix-free CG complement drops that to O(rows*cols) per iteration.
-  (void)rows;
-  using SchurMode = FastEngineOptions::SchurMode;
-  SchurMode mode = options_.schurMode;
-  if (mode == SchurMode::Auto) {
-    mode = cols >= options_.schurIterativeMinCols ? SchurMode::Iterative
-                                                  : SchurMode::SeedDense;
-  }
-  bool ok = false;
-  if (mode == SchurMode::SeedDense) {
-    ok = schurSolver_.solve(dRow_, dCol_, gMat_, residual_, delta_);
-  } else {
-    schurSolver_.options().mode = mode == SchurMode::Iterative
-                                      ? nh::util::SchurOptions::Mode::Iterative
-                                      : nh::util::SchurOptions::Mode::Dense;
-    ok = schurSolver_.solveBanded(nh::util::TridiagonalView::diagonal(dRow_),
-                                  nh::util::TridiagonalView::diagonal(dCol_),
-                                  gMat_, residual_, delta_);
-  }
-  if (!ok) {
-    // The iterative path carries CG diagnostics; the dense paths report a
-    // plain singular factorisation (iterations/residual stay zero).
+  // O((rows+cols)^3) dense factorisation, or O(rows*cols) per CG iteration
+  // on wide arrays.
+  if (!schurSolver_.solve(dRow_, dCol_, gMat_, residual_, delta_)) {
+    // The CG path carries diagnostics; the dense path reports a plain
+    // singular factorisation (iterations/residual stay zero).
     const nh::util::IterativeResult& cg = schurSolver_.lastIterative();
     throw nh::util::SolverError(
         "fastsim.schur",

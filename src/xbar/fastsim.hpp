@@ -43,22 +43,12 @@ struct FastEngineOptions {
   /// block. The line-network Jacobian's diagonal blocks are diagonal (every
   /// word line couples to every bit line but never to another word line), so
   /// eliminating the word-line block costs O(rows*cols^2) instead of the
-  /// O((rows+cols)^3) dense factorisation. False keeps the seed dense solve
-  /// (equivalence-test reference).
+  /// O((rows+cols)^3) dense factorisation; from
+  /// SchurComplementSolver::kIterativeMinCols bit lines up, a matrix-free CG
+  /// on the complement takes 1024x1024 arrays past the O(rows*cols^2)
+  /// dense-assembly wall. False keeps the seed dense solve (equivalence-test
+  /// reference).
   bool useSchurSolve = true;
-  /// Which Schur backend carries the solve (only meaningful with
-  /// useSchurSolve). SeedDense is the original dense-complement assembly —
-  /// byte-identical to the seed at any size. Banded routes the diagonal
-  /// line blocks through the Thomas factorisation (same dense complement,
-  /// cheaper A1 handling); Iterative runs the matrix-free Jacobi-CG
-  /// complement, which is what takes 1024x1024 arrays past the
-  /// O(rows*cols^2) dense-assembly wall. Auto keeps the seed path below
-  /// schurIterativeMinCols bit lines (bit-identical where the paper's
-  /// figures live) and switches to Iterative above it.
-  enum class SchurMode { SeedDense, Banded, Iterative, Auto };
-  SchurMode schurMode = SchurMode::Auto;
-  /// Auto crossover: bit-line count at which the solve goes iterative.
-  std::size_t schurIterativeMinCols = 128;
 
   /// Exact comparison (study-dedup cache key component).
   bool operator==(const FastEngineOptions&) const = default;
@@ -115,7 +105,7 @@ class FastEngine {
 
   /// Energy dissipated in the array since construction / resetEnergy() [J].
   /// Batched pulses contribute their extrapolated share, so the value is
-  /// meaningful for attack-cost accounting (see bench/attack_energy).
+  /// meaningful for attack-cost accounting (see the attack_energy experiment).
   double totalEnergy() const { return totalEnergy_; }
   /// Per-cell energy breakdown [J] (rows x cols).
   const nh::util::Matrix& energyByCell() const { return energyByCell_; }
@@ -129,7 +119,7 @@ class FastEngine {
   /// Solve the line network; fills lineVoltages_.
   void solveNetwork(const LineBias& bias);
   /// Newton update via the bit-line Schur complement; fills delta_.
-  void solveNetworkSchur(std::size_t rows, std::size_t cols);
+  void solveNetworkSchur();
   /// Newton update via the seed dense factorisation; fills delta_.
   void solveNetworkDense(std::size_t rows, std::size_t cols);
 

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "core/baseline.hpp"
+#include "util/json.hpp"
 
 namespace nh::core {
 namespace {
@@ -194,6 +197,32 @@ TEST(ExperimentRegistry, KineticsLandscapeBaselineRoundTrips) {
   ASSERT_FALSE(fail.diffs.empty());
   EXPECT_EQ(fail.diffs[0].column, "t_set_s");
   std::filesystem::remove_all(dir);
+}
+
+/// Every tracked baseline is keyed by the fast-mode config digest, which
+/// hashes every StudyConfig field. Retiring or adding an option must leave
+/// each registered experiment's digest equal to the one its baseline file
+/// recorded, or `nh_sweep check` reports every experiment as stale.
+TEST(ExperimentRegistry, ConfigDigestsMatchTrackedBaselines) {
+  const std::filesystem::path dir =
+      std::filesystem::path(NH_SOURCE_DIR) / "baselines";
+  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
+  RunOptions fast;
+  fast.fast = true;
+  std::size_t pinned = 0;
+  for (const auto& entry : registeredExperiments()) {
+    const std::filesystem::path path = baselinePath(entry.name, dir);
+    if (!std::filesystem::exists(path)) continue;
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const auto doc = nh::util::JsonValue::parse(text.str());
+    EXPECT_EQ(configDigest(makeExperiment(entry.name), fast),
+              doc.at("config_digest").asString())
+        << entry.name;
+    ++pinned;
+  }
+  EXPECT_GE(pinned, 21u);
 }
 
 /// Cross-product determinism through the registry path: a real two-axis
