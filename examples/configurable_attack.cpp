@@ -4,8 +4,12 @@
 /// default configuration is used and printed.
 ///
 /// Usage:  ./examples/configurable_attack [experiment.ini]
+///
+/// Exit status: 0 on a bit-flip, 1 when the budget ran out without one, 2 on
+/// an invalid configuration (the message names the offending key or field).
 
 #include <cstdio>
+#include <exception>
 
 #include "core/configio.hpp"
 
@@ -32,7 +36,7 @@ scheme = half            ; half|third
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace nh;
   util::Config ini;
   if (argc > 1) {
@@ -72,4 +76,7 @@ int main(int argc, char** argv) {
   std::printf("\nequivalent INI of the resolved study config:\n%s",
               core::toConfigText(studyConfig).c_str());
   return result.flipped ? 0 : 1;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "configurable_attack: %s\n", e.what());
+  return 2;
 }

@@ -1,6 +1,5 @@
 /// Generic experiment CLI: the command-line front end of the experiment
-/// registry and the tracked baseline store, plus the original INI-driven
-/// sweep mode.
+/// registry and the tracked baseline store.
 ///
 /// Usage:
 ///   nh_sweep list
@@ -23,10 +22,9 @@
 ///   nh_sweep describe [--markdown] [--out FILE]
 ///       Render the self-documenting registry catalog (docs/experiments.md
 ///       is this output checked in; CI fails when the two drift).
-///   nh_sweep [sweep.ini]
-///       Legacy INI mode: any of the four Fig. 3 sweeps (pulse-length,
-///       spacing, ambient, patterns) with configurable grids; see the
-///       built-in default config printed when run without arguments.
+///
+/// Without a subcommand (or with an unknown one) the usage text goes to
+/// stderr and the exit status is 2.
 ///
 /// Shared options: --fast (or NH_FAST_BENCH=1) selects the shrunk CI-smoke
 /// grids; --threads N, --max-pulses N; --set axis=v1,v2,... replaces a
@@ -46,32 +44,13 @@
 #include <vector>
 
 #include "core/baseline.hpp"
-#include "core/configio.hpp"
 #include "core/experiment.hpp"
 #include "core/experiment_registry.hpp"
-#include "core/study.hpp"
 #include "util/cancellation.hpp"
-#include "util/csv.hpp"
 #include "util/stringutil.hpp"
 #include "util/threadpool.hpp"
 
 namespace {
-
-const char* kDefaultIni = R"ini(
-; nh_sweep default: the Fig. 3b electrode-spacing sweep
-[array]
-rows = 5
-cols = 5
-[environment]
-ambient_K = 300
-[sweep]
-type = spacing
-spacings_nm = 10, 50, 90
-widths_ns = 50, 75, 100
-max_pulses = 5000000
-threads = 0
-output = sweep.csv
-)ini";
 
 int listExperiments() {
   const auto entries = nh::core::registeredExperiments();
@@ -402,177 +381,76 @@ int describeCommand(int argc, char** argv) {
   return 0;
 }
 
-// ---- legacy INI mode ------------------------------------------------------
-
-std::vector<double> scaled(const std::vector<double>& values, double factor) {
-  std::vector<double> out;
-  out.reserve(values.size());
-  for (const double v : values) out.push_back(v * factor);
-  return out;
-}
-
-nh::util::CsvTable sweepPointCsv(const std::vector<nh::core::SweepPoint>& points,
-                                 const std::string& parameterColumn,
-                                 double parameterScale) {
-  nh::util::CsvTable csv({parameterColumn, "pulse_length_ns", "pulses",
-                          "flipped", "stress_time_s"});
-  for (const auto& p : points) {
-    csv.addRow(std::vector<double>{p.parameter * parameterScale, p.series * 1e9,
-                                   static_cast<double>(p.pulses),
-                                   p.flipped ? 1.0 : 0.0, p.stressTime});
-  }
-  return csv;
-}
-
-int runIniMode(int argc, char** argv) {
-  using namespace nh;
-
-  util::Config ini;
-  if (argc > 1) {
-    std::printf("nh_sweep: loading %s\n", argv[1]);
-    ini = util::Config::load(argv[1]);
-  } else {
-    std::printf("nh_sweep: no config given -- using the built-in default:\n%s\n",
-                kDefaultIni);
-    ini = util::Config::fromString(kDefaultIni);
-  }
-
-  const core::StudyConfig base = core::studyConfigFrom(ini);
-  const std::string type = ini.getString("sweep.type", "spacing");
-  const std::size_t maxPulses =
-      static_cast<std::size_t>(ini.getInt("sweep.max_pulses", 5'000'000));
-  std::size_t threads =
-      static_cast<std::size_t>(ini.getInt("sweep.threads", 0));
-  if (threads == 0) threads = util::defaultThreadCount();
-  // A bare filename (the default sweep.csv included) lands in the bench
-  // results directory instead of littering the CWD; explicit paths with a
-  // directory component are honoured as given.
-  const std::filesystem::path requested =
-      ini.getString("sweep.output", "sweep.csv");
-  const std::filesystem::path output =
-      requested.has_parent_path() ? requested : nh::core::defaultResultsDir() / requested;
-
-  const std::vector<double> widths =
-      ini.has("sweep.widths_ns")
-          ? scaled(ini.getDoubleList("sweep.widths_ns"), 1e-9)
-          : std::vector<double>{50e-9};
-
-  std::printf("nh_sweep: type=%s, %zux%zu array, budget %zu pulses, "
-              "%zu thread(s)\n",
-              type.c_str(), base.rows, base.cols, maxPulses, threads);
-
-  util::CsvTable csv;
-  if (type == "pulse-length") {
-    const auto points = core::sweepPulseLength(base, widths, maxPulses, threads);
-    csv = sweepPointCsv(points, "pulse_length_ns", 1e9);
-  } else if (type == "spacing") {
-    const auto spacings =
-        ini.has("sweep.spacings_nm")
-            ? scaled(ini.getDoubleList("sweep.spacings_nm"), 1e-9)
-            : std::vector<double>{10e-9, 50e-9, 90e-9};
-    const auto points =
-        core::sweepSpacing(base, spacings, widths, maxPulses, threads);
-    csv = sweepPointCsv(points, "spacing_nm", 1e9);
-  } else if (type == "ambient") {
-    const auto ambients =
-        ini.has("sweep.ambients_K")
-            ? ini.getDoubleList("sweep.ambients_K")
-            : std::vector<double>{273.0, 298.0, 323.0, 348.0, 373.0};
-    const auto points =
-        core::sweepAmbient(base, ambients, widths, maxPulses, threads);
-    csv = sweepPointCsv(points, "ambient_K", 1.0);
-  } else if (type == "patterns") {
-    core::HammerPulse pulse;
-    pulse.amplitude = ini.getDouble("sweep.amplitude_V", pulse.amplitude);
-    pulse.width = ini.getDouble("sweep.width_ns", 50.0) * 1e-9;
-    pulse.dutyCycle = ini.getDouble("sweep.duty", pulse.dutyCycle);
-    const auto points = core::sweepPatterns(base, pulse, maxPulses, threads);
-    csv = util::CsvTable({"pattern", "aggressors", "pulses", "flipped"});
-    for (const auto& p : points) {
-      csv.addRow({core::patternName(p.pattern),
-                  std::to_string(p.aggressorCount), std::to_string(p.pulses),
-                  p.flipped ? "1" : "0"});
-    }
-  } else {
-    std::fprintf(stderr,
-                 "nh_sweep: unknown sweep.type '%s' "
-                 "(expected pulse-length|spacing|ambient|patterns)\n",
-                 type.c_str());
-    return 2;
-  }
-
-  csv.save(output);
-  std::printf("nh_sweep: %zu point(s) written to %s\n", csv.rowCount(),
-              output.string().c_str());
-  return 0;
+void printUsage(std::FILE* out) {
+  std::fprintf(
+      out,
+      "usage:\n"
+      "  nh_sweep list                         list registered experiments\n"
+      "  nh_sweep run <name> [options]         run a registered experiment\n"
+      "  nh_sweep run-all [options]            run the whole catalog "
+      "(batched against the study cache)\n"
+      "  nh_sweep check <name>|--all [options] run + diff against the "
+      "tracked baseline (exit 1 on mismatch;\n"
+      "                                        diff JSON lands in "
+      "<out>/diffs/; --update re-records only\n"
+      "                                        the out-of-tolerance "
+      "baselines and summarises the changes)\n"
+      "  nh_sweep record <name>|--all [options]"
+      " run + (re-)write baselines/<name>.json\n"
+      "  nh_sweep describe [--markdown] [--out FILE]\n"
+      "                                        render the registry catalog "
+      "(docs/experiments.md)\n"
+      "  options:\n"
+      "    --fast                              shrunk CI-smoke grids "
+      "(also: NH_FAST_BENCH=1)\n"
+      "    --threads N                         worker count (default "
+      "NH_THREADS / hardware)\n"
+      "    --max-pulses N                      override the pulse budget\n"
+      "    --set axis=v1,v2,...                replace an axis's values "
+      "(repeatable; unknown names error\n"
+      "                                        out listing the valid axes)\n"
+      "    --out DIR                           output directory (default "
+      "NH_RESULTS_DIR / bench_results)\n"
+      "    --baselines DIR                     baseline directory (default "
+      "NH_BASELINE_DIR / baselines)\n"
+      "    --deadline SECONDS                  wall-clock budget; on expiry "
+      "the partial result and a\n"
+      "                                        checkpoint are written and "
+      "the exit code is nonzero\n"
+      "    --resume                            skip points a digest-matching "
+      "checkpoint already holds\n"
+      "    --retries N                         re-run a failed point up to N "
+      "times before flagging it\n"
+      "    --keep-going                        record failed points as "
+      "flagged rows instead of aborting\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) try {
-  if (argc > 1 && std::strcmp(argv[1], "list") == 0) return listExperiments();
-  if (argc > 1 && std::strcmp(argv[1], "run") == 0) {
+  const char* command = argc > 1 ? argv[1] : "";
+  if (std::strcmp(command, "list") == 0) return listExperiments();
+  if (std::strcmp(command, "run") == 0) {
     return runCommand(argc, argv, /*all=*/false);
   }
-  if (argc > 1 && std::strcmp(argv[1], "run-all") == 0) {
+  if (std::strcmp(command, "run-all") == 0) {
     return runCommand(argc, argv, /*all=*/true);
   }
-  if (argc > 1 && std::strcmp(argv[1], "check") == 0) {
-    return checkCommand(argc, argv);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "record") == 0) {
-    return recordCommand(argc, argv);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "describe") == 0) {
+  if (std::strcmp(command, "check") == 0) return checkCommand(argc, argv);
+  if (std::strcmp(command, "record") == 0) return recordCommand(argc, argv);
+  if (std::strcmp(command, "describe") == 0) {
     return describeCommand(argc, argv);
   }
-  if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
-                   std::strcmp(argv[1], "-h") == 0 ||
-                   std::strcmp(argv[1], "help") == 0)) {
-    std::printf(
-        "usage:\n"
-        "  nh_sweep list                         list registered experiments\n"
-        "  nh_sweep run <name> [options]         run a registered experiment\n"
-        "  nh_sweep run-all [options]            run the whole catalog "
-        "(batched against the study cache)\n"
-        "  nh_sweep check <name>|--all [options] run + diff against the "
-        "tracked baseline (exit 1 on mismatch;\n"
-        "                                        diff JSON lands in "
-        "<out>/diffs/; --update re-records only\n"
-        "                                        the out-of-tolerance "
-        "baselines and summarises the changes)\n"
-        "  nh_sweep record <name>|--all [options]"
-        " run + (re-)write baselines/<name>.json\n"
-        "  nh_sweep describe [--markdown] [--out FILE]\n"
-        "                                        render the registry catalog "
-        "(docs/experiments.md)\n"
-        "  options:\n"
-        "    --fast                              shrunk CI-smoke grids "
-        "(also: NH_FAST_BENCH=1)\n"
-        "    --threads N                         worker count (default "
-        "NH_THREADS / hardware)\n"
-        "    --max-pulses N                      override the pulse budget\n"
-        "    --set axis=v1,v2,...                replace an axis's values "
-        "(repeatable; unknown names error\n"
-        "                                        out listing the valid axes)\n"
-        "    --out DIR                           output directory (default "
-        "NH_RESULTS_DIR / bench_results)\n"
-        "    --baselines DIR                     baseline directory (default "
-        "NH_BASELINE_DIR / baselines)\n"
-        "    --deadline SECONDS                  wall-clock budget; on expiry "
-        "the partial result and a\n"
-        "                                        checkpoint are written and "
-        "the exit code is nonzero\n"
-        "    --resume                            skip points a digest-matching "
-        "checkpoint already holds\n"
-        "    --retries N                         re-run a failed point up to N "
-        "times before flagging it\n"
-        "    --keep-going                        record failed points as "
-        "flagged rows instead of aborting\n"
-        "  nh_sweep [sweep.ini]                  legacy INI sweep mode\n");
+  if (std::strcmp(command, "--help") == 0 || std::strcmp(command, "-h") == 0 ||
+      std::strcmp(command, "help") == 0) {
+    printUsage(stdout);
     return 0;
   }
-  return runIniMode(argc, argv);
+  if (argc > 1) {
+    std::fprintf(stderr, "nh_sweep: unknown command '%s'\n", command);
+  }
+  printUsage(stderr);
+  return 2;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "nh_sweep: %s\n", e.what());
   return 1;

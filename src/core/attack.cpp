@@ -18,6 +18,12 @@ AttackResult AttackEngine::run(const AttackConfig& config) {
       config.pulse.dutyCycle > 1.0) {
     throw std::invalid_argument("AttackEngine: invalid pulse");
   }
+  // A zero chunk would rotate through the aggressors forever without
+  // applying a pulse.
+  if (config.aggressors.size() > 1 && config.roundRobinChunk == 0) {
+    throw std::invalid_argument(
+        "AttackEngine: roundRobinChunk must be > 0 with several aggressors");
+  }
   auto& array = engine_->array();
   for (const auto& a : config.aggressors) {
     if (a.row >= array.rows() || a.col >= array.cols()) {

@@ -30,7 +30,8 @@ struct HammerPulse {
 struct AttackConfig {
   /// Cells hammered in round-robin order. Must be non-empty.
   std::vector<xbar::CellCoord> aggressors;
-  /// Consecutive pulses per aggressor before rotating to the next.
+  /// Consecutive pulses per aggressor before rotating to the next. Must be
+  /// > 0 when there are several aggressors.
   std::size_t roundRobinChunk = 8;
   HammerPulse pulse;
   xbar::BiasScheme scheme = xbar::BiasScheme::Half;

@@ -1,12 +1,12 @@
 #pragma once
 /// \file campaign.hpp
-/// Statistical campaign layer: Monte-Carlo at scale over device variability.
-/// Where core/variability runs a handful of serial trials and reports point
-/// estimates, a campaign runs thousands of trials batched through the thread
-/// pool and reports *distributions*: flip rates with Wilson confidence
-/// intervals, pulses-to-flip quantiles with bootstrap intervals, and an
-/// optional CMS-style per-cell array-health matrix (disturb rate per cell
-/// over trials). A STAR-style blinding layer (BlindedAbStudy) compares two
+/// Statistical campaign layer: every Monte-Carlo run over device
+/// variability, from the five-trial ablation_variability points to
+/// thousands of trials, goes through runCampaign. A campaign batches its
+/// trials through the thread pool and reports *distributions*: flip rates
+/// with Wilson confidence intervals, pulses-to-flip quantiles with
+/// bootstrap intervals, and an optional CMS-style per-cell array-health
+/// matrix (disturb rate per cell over trials). A STAR-style blinding layer (BlindedAbStudy) compares two
 /// configurations as opaque arms whose labels stay salted-hashed until an
 /// explicit unblind() freezes the analysis record.
 ///

@@ -5,6 +5,22 @@
 
 namespace nh::core {
 
+namespace {
+
+/// Non-negative integer key: casting a negative getInt to std::size_t
+/// would wrap to ~1.8e19 instead of failing.
+std::size_t countFrom(const nh::util::Config& config, const std::string& key,
+                      std::size_t fallback) {
+  const long long v = config.getInt(key, static_cast<long long>(fallback));
+  if (v < 0) {
+    throw std::invalid_argument(key + " must be >= 0, got " +
+                                std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
+
 AttackPattern patternFromName(const std::string& name) {
   for (const AttackPattern p : allPatterns()) {
     if (patternName(p) == name) return p;
@@ -14,10 +30,8 @@ AttackPattern patternFromName(const std::string& name) {
 
 StudyConfig studyConfigFrom(const nh::util::Config& config) {
   StudyConfig out;
-  out.rows = static_cast<std::size_t>(
-      config.getInt("array.rows", static_cast<long long>(out.rows)));
-  out.cols = static_cast<std::size_t>(
-      config.getInt("array.cols", static_cast<long long>(out.cols)));
+  out.rows = countFrom(config, "array.rows", out.rows);
+  out.cols = countFrom(config, "array.cols", out.cols);
 
   out.spacing = config.getDouble("geometry.spacing_nm", out.spacing * 1e9) * 1e-9;
   out.useFemAlphas = config.getBool("geometry.fem_alphas", out.useFemAlphas);
@@ -51,10 +65,6 @@ StudyConfig studyConfigFrom(const nh::util::Config& config) {
   return out;
 }
 
-StudyConfig studyConfigFromFile(const std::filesystem::path& path) {
-  return studyConfigFrom(nh::util::Config::load(path));
-}
-
 AttackConfig attackConfigFrom(const nh::util::Config& config, std::size_t rows,
                               std::size_t cols) {
   AttackConfig out;
@@ -71,10 +81,9 @@ AttackConfig attackConfigFrom(const nh::util::Config& config, std::size_t rows,
   out.pulse.amplitude = config.getDouble("attack.amplitude_V", out.pulse.amplitude);
   out.pulse.width = config.getDouble("attack.width_ns", out.pulse.width * 1e9) * 1e-9;
   out.pulse.dutyCycle = config.getDouble("attack.duty", out.pulse.dutyCycle);
-  out.maxPulses = static_cast<std::size_t>(
-      config.getInt("attack.max_pulses", static_cast<long long>(out.maxPulses)));
-  out.roundRobinChunk = static_cast<std::size_t>(config.getInt(
-      "attack.round_robin_chunk", static_cast<long long>(out.roundRobinChunk)));
+  out.maxPulses = countFrom(config, "attack.max_pulses", out.maxPulses);
+  out.roundRobinChunk =
+      countFrom(config, "attack.round_robin_chunk", out.roundRobinChunk);
   const std::string scheme = config.getString("attack.scheme", "half");
   if (scheme == "half") {
     out.scheme = xbar::BiasScheme::Half;

@@ -22,20 +22,20 @@
 ///   duty = 0.5
 ///   max_pulses = 1000000
 
-#include <filesystem>
-
 #include "core/study.hpp"
 #include "util/config.hpp"
 
 namespace nh::core {
 
 /// Build a StudyConfig from a parsed INI config. Unknown keys are ignored;
-/// malformed values throw (std::invalid_argument from the config layer).
+/// malformed values and negative counts (array.rows, array.cols) throw
+/// std::invalid_argument naming the key.
 StudyConfig studyConfigFrom(const nh::util::Config& config);
-StudyConfig studyConfigFromFile(const std::filesystem::path& path);
 
 /// Build the attack description (pattern, pulse, budget) for a study of the
-/// given dimensions. The victim is the array centre.
+/// given dimensions. The victim is the array centre. Negative counts
+/// (attack.max_pulses, attack.round_robin_chunk) throw
+/// std::invalid_argument naming the key.
 AttackConfig attackConfigFrom(const nh::util::Config& config, std::size_t rows,
                               std::size_t cols);
 

@@ -201,8 +201,8 @@ std::size_t resolveBudget(const ExperimentSpec& spec, const RunOptions& options)
   return spec.maxPulses;
 }
 
-/// Mixed-radix decode of a serial point index, first axis outermost -- the
-/// same slot order the legacy sweeps used (outer * widths.size() + width).
+/// Mixed-radix decode of a serial point index, first axis outermost: a
+/// (spacing, width) grid has slot order spacing * widths.size() + width.
 std::vector<double> pointValuesAt(
     const std::vector<ExperimentResult::Axis>& axes, std::size_t index) {
   std::vector<double> values(axes.size());

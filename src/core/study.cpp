@@ -4,10 +4,8 @@
 #include <memory>
 #include <stdexcept>
 
-#include "core/experiment.hpp"
 #include "fem/geometry.hpp"
 #include "util/log.hpp"
-#include "util/threadpool.hpp"
 
 namespace nh::core {
 
@@ -100,129 +98,6 @@ AttackResult AttackStudy::attackPattern(AttackPattern pattern,
   cfg.maxPulses = maxPulses;
   cfg.victims = {victim};
   return attack(cfg);
-}
-
-namespace {
-
-/// The legacy sweeps are thin wrappers over the experiment engine: the
-/// engine provides the pool-parallel, serially-slotted execution and the
-/// study-dedup cache; the wrappers collect exact SweepPoint/PatternPoint
-/// values through a slot-indexed sink so the public API keeps returning
-/// bit-identical vectors for every thread count (the engine's display rows
-/// are discarded here). Placeholder columns keep the engine's row-width
-/// invariant satisfied.
-std::vector<ColumnSpec> sinkColumns() { return {{"sunk", "", {}}}; }
-
-std::vector<ResultValue> sunkRow() { return {ResultValue::num(0.0)}; }
-
-/// Shared spec for the Fig. 3b/3c outer-parameter-by-width sweeps. Slot
-/// order is outer * widths.size() + width -- the engine's row-major cross
-/// product with the outer axis first reproduces it. The study-dedup cache
-/// builds one AttackStudy per unique outer value, exactly what the old
-/// hand-rolled harness did (and strictly fewer when the list has
-/// duplicates; results are unchanged since equal configs run identically).
-std::vector<SweepPoint> runOuterByWidth(
-    const StudyConfig& base, const char* tag, const char* outerName,
-    const std::vector<double>& outers, const std::vector<double>& widths,
-    std::size_t maxPulses, std::size_t threads,
-    std::function<void(StudyConfig&, double)> applyOuter) {
-  std::vector<SweepPoint> points(outers.size() * widths.size());
-  ExperimentSpec spec;
-  spec.name = tag;
-  spec.base = base;
-  spec.axes = {{outerName, outers, {}, std::move(applyOuter)},
-               {"width", widths, {}, {}}};
-  spec.columns = sinkColumns();
-  spec.maxPulses = maxPulses;
-  spec.run = [&points, outerName](const PointContext& ctx) {
-    HammerPulse pulse;
-    pulse.width = ctx.value("width");
-    const AttackResult r = ctx.study->attackCenter(pulse, ctx.maxPulses);
-    points[ctx.index] = {ctx.value(outerName), pulse.width, r.pulsesToFlip,
-                         r.flipped, r.stressTime};
-    return sunkRow();
-  };
-  RunOptions options;
-  options.threads = threads;
-  runExperiment(spec, options);
-  return points;
-}
-
-}  // namespace
-
-std::vector<SweepPoint> sweepPulseLength(const StudyConfig& base,
-                                         const std::vector<double>& widths,
-                                         std::size_t maxPulses,
-                                         std::size_t threads) {
-  std::vector<SweepPoint> points(widths.size());
-  ExperimentSpec spec;
-  spec.name = "sweep_pulse_length";
-  spec.base = base;
-  spec.axes = {{"width", widths, {}, {}}};
-  spec.columns = sinkColumns();
-  spec.maxPulses = maxPulses;
-  spec.run = [&points](const PointContext& ctx) {
-    HammerPulse pulse;
-    pulse.width = ctx.value("width");
-    const AttackResult r = ctx.study->attackCenter(pulse, ctx.maxPulses);
-    points[ctx.index] = {pulse.width, pulse.width, r.pulsesToFlip, r.flipped,
-                         r.stressTime};
-    return sunkRow();
-  };
-  RunOptions options;
-  options.threads = threads;
-  runExperiment(spec, options);
-  return points;
-}
-
-std::vector<SweepPoint> sweepSpacing(const StudyConfig& base,
-                                     const std::vector<double>& spacings,
-                                     const std::vector<double>& widths,
-                                     std::size_t maxPulses,
-                                     std::size_t threads) {
-  return runOuterByWidth(base, "fig3b", "spacing", spacings, widths, maxPulses,
-                         threads,
-                         [](StudyConfig& cfg, double v) { cfg.spacing = v; });
-}
-
-std::vector<SweepPoint> sweepAmbient(const StudyConfig& base,
-                                     const std::vector<double>& ambients,
-                                     const std::vector<double>& widths,
-                                     std::size_t maxPulses,
-                                     std::size_t threads) {
-  return runOuterByWidth(base, "fig3c", "T0", ambients, widths, maxPulses,
-                         threads,
-                         [](StudyConfig& cfg, double v) { cfg.ambientK = v; });
-}
-
-std::vector<PatternPoint> sweepPatterns(const StudyConfig& base,
-                                        const HammerPulse& pulse,
-                                        std::size_t maxPulses,
-                                        std::size_t threads) {
-  const std::vector<AttackPattern> patterns = allPatterns();
-  std::vector<double> indices(patterns.size());
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    indices[i] = static_cast<double>(i);
-  }
-  std::vector<PatternPoint> points(patterns.size());
-  ExperimentSpec spec;
-  spec.name = "fig3d";
-  spec.base = base;
-  spec.axes = {{"pattern", indices, {}, {}}};
-  spec.columns = sinkColumns();
-  spec.maxPulses = maxPulses;
-  spec.run = [&points, &patterns, &pulse, &base](const PointContext& ctx) {
-    const AttackPattern pattern = patterns[ctx.index];
-    const AttackResult r = ctx.study->attackPattern(pattern, pulse, ctx.maxPulses);
-    const auto aggressors = patternAggressors(
-        pattern, {base.rows / 2, base.cols / 2}, base.rows, base.cols);
-    points[ctx.index] = {pattern, aggressors.size(), r.pulsesToFlip, r.flipped};
-    return sunkRow();
-  };
-  RunOptions options;
-  options.threads = threads;
-  runExperiment(spec, options);
-  return points;
 }
 
 }  // namespace nh::core

@@ -1,12 +1,11 @@
 #pragma once
 /// \file study.hpp
 /// End-to-end experiment harness: wires geometry -> alpha extraction ->
-/// array/engine construction -> attack execution, and provides the three
-/// parameter sweeps of the paper's evaluation (pulse length, electrode
-/// spacing, ambient temperature) plus the attack-pattern comparison.
+/// array/engine construction -> attack execution. The paper's parameter
+/// sweeps run through the experiment engine (core/experiment.hpp) and its
+/// registry, which hand every grid point an AttackStudy.
 
 #include <memory>
-#include <vector>
 
 #include "core/attack.hpp"
 #include "core/patterns.hpp"
@@ -91,58 +90,5 @@ class AttackStudy {
   xbar::AlphaTable alphas_;
   xbar::ArrayConfig arrayConfig_;
 };
-
-/// One point of a figure series.
-struct SweepPoint {
-  double parameter = 0.0;   ///< Swept value (seconds, metres or kelvin).
-  double series = 0.0;      ///< Series value (pulse width for Fig. 3b/c) [s].
-  std::size_t pulses = 0;   ///< Pulses to trigger the bit-flip.
-  bool flipped = false;
-  double stressTime = 0.0;  ///< pulses * width [s].
-
-  /// Exact comparison (C++20 defaulted): the parallel sweeps promise
-  /// bit-identical results for every thread count, and the tests check it.
-  bool operator==(const SweepPoint&) const = default;
-};
-
-/// Fig. 3a: pulses-to-flip vs pulse length at fixed spacing/ambient.
-///
-/// All four sweeps run their points on a thread pool (\p threads workers;
-/// 0 = util::defaultThreadCount(), 1 = serial on the calling thread). Each
-/// point attacks its own fresh all-HRS array, and results are written into
-/// slots indexed by the serial loop order, so the returned vector is
-/// bit-identical for every thread count.
-std::vector<SweepPoint> sweepPulseLength(const StudyConfig& base,
-                                         const std::vector<double>& widths,
-                                         std::size_t maxPulses,
-                                         std::size_t threads = 0);
-
-/// Fig. 3b: pulses-to-flip vs electrode spacing, one series per pulse width.
-std::vector<SweepPoint> sweepSpacing(const StudyConfig& base,
-                                     const std::vector<double>& spacings,
-                                     const std::vector<double>& widths,
-                                     std::size_t maxPulses,
-                                     std::size_t threads = 0);
-
-/// Fig. 3c: pulses-to-flip vs ambient temperature, one series per width.
-std::vector<SweepPoint> sweepAmbient(const StudyConfig& base,
-                                     const std::vector<double>& ambients,
-                                     const std::vector<double>& widths,
-                                     std::size_t maxPulses,
-                                     std::size_t threads = 0);
-
-/// Fig. 3d: pulses-to-flip per attack pattern.
-struct PatternPoint {
-  AttackPattern pattern = AttackPattern::SingleAggressor;
-  std::size_t aggressorCount = 0;
-  std::size_t pulses = 0;
-  bool flipped = false;
-
-  bool operator==(const PatternPoint&) const = default;
-};
-std::vector<PatternPoint> sweepPatterns(const StudyConfig& base,
-                                        const HammerPulse& pulse,
-                                        std::size_t maxPulses,
-                                        std::size_t threads = 0);
 
 }  // namespace nh::core

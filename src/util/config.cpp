@@ -81,65 +81,4 @@ bool Config::getBool(const std::string& key, bool fallback) const {
   throw std::invalid_argument("Config: cannot parse bool '" + *v + "' for key " + key);
 }
 
-double Config::requireDouble(const std::string& key) const {
-  const auto v = getString(key);
-  if (!v) throw std::out_of_range("Config: missing required key '" + key + "'");
-  return parseDouble(*v, key);
-}
-
-long long Config::requireInt(const std::string& key) const {
-  const auto v = getString(key);
-  if (!v) throw std::out_of_range("Config: missing required key '" + key + "'");
-  return parseInt(*v, key);
-}
-
-std::string Config::requireString(const std::string& key) const {
-  const auto v = getString(key);
-  if (!v) throw std::out_of_range("Config: missing required key '" + key + "'");
-  return *v;
-}
-
-std::vector<double> Config::getDoubleList(const std::string& key) const {
-  const auto v = getString(key);
-  std::vector<double> out;
-  if (!v) return out;
-  for (const auto& part : split(*v, ',')) {
-    const std::string t = trim(part);
-    if (!t.empty()) out.push_back(parseDouble(t, key));
-  }
-  return out;
-}
-
-void Config::set(const std::string& key, const std::string& value) {
-  values_[key] = value;
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, _] : values_) out.push_back(k);
-  return out;
-}
-
-std::string Config::toString() const {
-  // Emit global (section-less) keys first so they are not swallowed by a
-  // section header on re-parse, then each section grouped together.
-  std::ostringstream os;
-  for (const auto& [k, v] : values_) {
-    if (k.find('.') == std::string::npos) os << k << " = " << v << "\n";
-  }
-  std::string currentSection;
-  for (const auto& [k, v] : values_) {
-    const auto dotPos = k.find('.');
-    if (dotPos == std::string::npos) continue;
-    const std::string section = k.substr(0, dotPos);
-    if (section != currentSection) {
-      os << "[" << section << "]\n";
-      currentSection = section;
-    }
-    os << k.substr(dotPos + 1) << " = " << v << "\n";
-  }
-  return os.str();
-}
-
 }  // namespace nh::util

@@ -9,7 +9,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace nh::util {
 
@@ -35,21 +34,6 @@ class Config {
   double getDouble(const std::string& key, double fallback) const;
   long long getInt(const std::string& key, long long fallback) const;
   bool getBool(const std::string& key, bool fallback) const;
-  /// Required variants: throw std::out_of_range when missing.
-  double requireDouble(const std::string& key) const;
-  long long requireInt(const std::string& key) const;
-  std::string requireString(const std::string& key) const;
-
-  /// Comma-separated list of doubles ("10, 50, 90").
-  std::vector<double> getDoubleList(const std::string& key) const;
-
-  /// Insert/overwrite a value programmatically.
-  void set(const std::string& key, const std::string& value);
-
-  /// All keys in deterministic (sorted) order; used for dumping.
-  std::vector<std::string> keys() const;
-  /// Serialise back to INI text (sorted keys, sections reconstructed).
-  std::string toString() const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -133,12 +133,6 @@ void LuFactorization::solveInPlace(Vector& b) const {
   std::copy(scratch_.begin(), scratch_.end(), b.begin());
 }
 
-double LuFactorization::absDeterminant() const {
-  double det = 1.0;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= std::fabs(lu_(i, i));
-  return det;
-}
-
 Vector solveDense(const Matrix& a, const Vector& b) {
   auto f = LuFactorization::factor(a);
   if (!f) throw std::runtime_error("solveDense: singular matrix");
@@ -573,70 +567,6 @@ IterativeResult solveConjugateGradientOperator(
     const double beta = rzNew / rz;
     rz = rzNew;
     for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  return result;
-}
-
-IterativeResult solveBiCgStab(const SparseMatrix& a, const Vector& b, Vector& x,
-                              double relTol, std::size_t maxIter) {
-  const std::size_t n = b.size();
-  assert(a.rows() == n && a.cols() == n);
-  if (x.size() != n) x.assign(n, 0.0);
-
-  Vector invDiag = a.diagonal();
-  for (auto& d : invDiag) d = (std::fabs(d) > 1e-300) ? 1.0 / d : 1.0;
-
-  Vector r(n), rHat(n), p(n, 0.0), v(n, 0.0), s(n), t(n), y(n), z(n);
-  a.multiplyInto(x, v);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - v[i];
-  rHat = r;
-  const double bNorm = norm2(b);
-  if (bNorm == 0.0) {
-    x.assign(n, 0.0);
-    return {true, 0, 0.0};
-  }
-
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  std::fill(v.begin(), v.end(), 0.0);
-
-  IterativeResult result;
-  for (std::size_t it = 0; it < maxIter; ++it) {
-    checkCancellation("bicgstab");
-    const double rhoNew = dot(rHat, r);
-    if (!std::isfinite(rhoNew)) {
-      result.breakdown = true;
-      break;
-    }
-    if (std::fabs(rhoNew) < 1e-300) break;
-    const double beta = (rhoNew / rho) * (alpha / omega);
-    rho = rhoNew;
-    for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    for (std::size_t i = 0; i < n; ++i) y[i] = invDiag[i] * p[i];
-    a.multiplyInto(y, v);
-    alpha = rho / dot(rHat, v);
-    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-    if (norm2(s) / bNorm < relTol) {
-      axpy(alpha, y, x);
-      result.converged = true;
-      result.iterations = it + 1;
-      result.residualNorm = norm2(s) / bNorm;
-      return result;
-    }
-    for (std::size_t i = 0; i < n; ++i) z[i] = invDiag[i] * s[i];
-    a.multiplyInto(z, t);
-    const double tt = dot(t, t);
-    if (tt < 1e-300) break;
-    omega = dot(t, s) / tt;
-    for (std::size_t i = 0; i < n; ++i) x[i] += alpha * y[i] + omega * z[i];
-    for (std::size_t i = 0; i < n; ++i) r[i] = s[i] - omega * t[i];
-    const double res = norm2(r) / bNorm;
-    result.iterations = it + 1;
-    result.residualNorm = res;
-    if (res < relTol) {
-      result.converged = true;
-      return result;
-    }
-    if (std::fabs(omega) < 1e-300) break;
   }
   return result;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/study.hpp"
+#include "util/cancellation.hpp"
 
 namespace nh::core {
 namespace {
@@ -73,6 +74,10 @@ TEST(AttackEngine, InputValidation) {
   AttackStudy study(fastConfig());
   auto bench = study.makeBench();
   AttackEngine engine(*bench.engine);
+  // Bounds the zero-chunk case below: a rotation that applies no pulse
+  // would otherwise spin until cancelled instead of throwing.
+  const auto deadline = nh::util::CancellationSource::withDeadline(2.0);
+  const nh::util::CancellationScope scope(deadline.token());
 
   AttackConfig cfg;  // no aggressors
   EXPECT_THROW(engine.run(cfg), std::invalid_argument);
@@ -83,6 +88,18 @@ TEST(AttackEngine, InputValidation) {
   cfg.aggressors = {{2, 2}};
   cfg.pulse.dutyCycle = 0.0;
   EXPECT_THROW(engine.run(cfg), std::invalid_argument);
+
+  cfg.pulse.dutyCycle = 0.5;
+  cfg.aggressors = {{2, 1}, {2, 3}};
+  cfg.victims = {{2, 2}};
+  cfg.roundRobinChunk = 0;
+  cfg.maxPulses = 1000;
+  EXPECT_THROW(engine.run(cfg), std::invalid_argument);
+
+  // One aggressor takes the whole budget as one chunk: zero is harmless.
+  cfg.aggressors = {{2, 1}};
+  cfg.maxPulses = 1;
+  EXPECT_NO_THROW(engine.run(cfg));
 }
 
 TEST(AttackEngine, AllLrsArrayHasNoVictims) {

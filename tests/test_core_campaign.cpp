@@ -120,6 +120,41 @@ TEST(Campaign, SingleTrialCollapsesQuantiles) {
   EXPECT_DOUBLE_EQ(r.spreadDecades, 0.0);
 }
 
+// ---- variability response ---------------------------------------------------
+
+TEST(Campaign, TrialsActuallyDiffer) {
+  const CampaignResult r = runCampaign(quickCampaign(6));
+  ASSERT_GE(r.pulsesPerFlip.size(), 2u);
+  const auto [lo, hi] =
+      std::minmax_element(r.pulsesPerFlip.begin(), r.pulsesPerFlip.end());
+  EXPECT_GT(*hi, *lo);
+  EXPECT_GT(r.spreadDecades, 0.0);
+}
+
+TEST(Campaign, LargerSigmaSpreadsMore) {
+  CampaignConfig narrow = quickCampaign(6);
+  narrow.sigma = 0.01;
+  CampaignConfig wide = quickCampaign(6);
+  wide.sigma = 0.10;
+  wide.budget = 5'000'000;  // slow corners need more budget
+  const CampaignResult a = runCampaign(narrow);
+  const CampaignResult b = runCampaign(wide);
+  ASSERT_GT(a.flips, 0u);
+  ASSERT_GT(b.flips, 0u);
+  EXPECT_GT(b.spreadDecades, a.spreadDecades);
+}
+
+TEST(Campaign, ZeroSigmaCollapsesSpread) {
+  CampaignConfig cfg = quickCampaign(6);
+  cfg.sigma = 0.0;
+  const CampaignResult r = runCampaign(cfg);
+  ASSERT_EQ(r.flips, r.trials);
+  const auto [lo, hi] =
+      std::minmax_element(r.pulsesPerFlip.begin(), r.pulsesPerFlip.end());
+  EXPECT_EQ(*lo, *hi);
+  EXPECT_NEAR(r.spreadDecades, 0.0, 1e-12);
+}
+
 TEST(Campaign, Validation) {
   CampaignConfig cfg = quickCampaign();
   cfg.trials = 0;
@@ -331,10 +366,9 @@ TEST(CampaignExperiments, FlipRateJsonIsByteIdenticalAcrossThreads) {
   EXPECT_EQ(rowsJson(serial), rowsJson(parallel));  // byte-identical data
 }
 
-TEST(CampaignExperiments, AblationVariabilitySerialPathJsonIsThreadInvariant) {
-  // The legacy sequential RNG plan stays serial *within* a point; the grid
-  // points still run on the pool. 1-vs-4-thread documents must match byte
-  // for byte.
+TEST(CampaignExperiments, AblationVariabilityJsonIsThreadInvariant) {
+  // Per-trial streams inside each point, grid points on the pool:
+  // 1-vs-4-thread documents must match byte for byte.
   RunOptions options;
   options.fast = true;
   options.threads = 1;

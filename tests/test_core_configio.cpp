@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace nh::core {
 namespace {
 
@@ -34,6 +37,31 @@ TEST(ConfigIo, InvalidCellParamsThrow) {
   EXPECT_THROW(studyConfigFrom(nh::util::Config::fromString(
                    "[cell]\nrth_eff_K_per_W = -1\n")),
                std::invalid_argument);
+}
+
+TEST(ConfigIo, NegativeCountsThrowNamingTheKey) {
+  for (const char* key : {"rows", "cols"}) {
+    const std::string ini = std::string("[array]\n") + key + " = -1\n";
+    try {
+      studyConfigFrom(nh::util::Config::fromString(ini));
+      ADD_FAILURE() << "array." << key << " = -1 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("array.") + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* key : {"max_pulses", "round_robin_chunk"}) {
+    const std::string ini = std::string("[attack]\n") + key + " = -1\n";
+    try {
+      attackConfigFrom(nh::util::Config::fromString(ini), 5, 5);
+      ADD_FAILURE() << "attack." << key << " = -1 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("attack.") + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ConfigIo, RoundTripThroughText) {

@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/experiment.hpp"
+#include "core/experiment_registry.hpp"
 #include "core/study.hpp"
 #include "xbar/controller.hpp"
 
@@ -111,32 +118,70 @@ TEST(Pipeline, StudyRejectsTinyArrays) {
   EXPECT_THROW(AttackStudy{cfg}, std::invalid_argument);
 }
 
+/// A Fig. 3 registry experiment moved to the fast 10 nm regime, with the
+/// given axis values and pulse budget.
+ExperimentResult runFig3(const std::string& name,
+                         std::map<std::string, std::vector<double>> axes,
+                         std::size_t maxPulses) {
+  ExperimentSpec spec = makeExperiment(name);
+  spec.base.spacing = 10e-9;
+  RunOptions options;
+  options.axisOverrides = std::move(axes);
+  options.maxPulsesOverride = maxPulses;
+  return runExperiment(spec, options);
+}
+
+/// Cell \p column of row \p row.
+const ResultValue& cell(const ExperimentResult& r, std::size_t row,
+                        const std::string& column) {
+  for (std::size_t c = 0; c < r.columns.size(); ++c) {
+    if (r.columns[c].name == column) return r.rows.at(row).at(c);
+  }
+  throw std::out_of_range("no column " + column);
+}
+
+bool flipped(const ExperimentResult& r, std::size_t row) {
+  return cell(r, row, "flipped").number == 1.0;
+}
+
+double pulses(const ExperimentResult& r, std::size_t row) {
+  return cell(r, row, "pulses").number;
+}
+
 TEST(Pipeline, SweepHarnessesProduceOrderedSeries) {
-  StudyConfig cfg;
-  cfg.spacing = 10e-9;  // fast regime for the harness smoke test
-  const auto byLength = sweepPulseLength(cfg, {30e-9, 90e-9}, 300000);
-  ASSERT_EQ(byLength.size(), 2u);
-  ASSERT_TRUE(byLength[0].flipped && byLength[1].flipped);
-  EXPECT_GT(byLength[0].pulses, byLength[1].pulses);
+  const auto byLength =
+      runFig3("fig3a_pulse_length", {{"width", {30e-9, 90e-9}}}, 300000);
+  ASSERT_EQ(byLength.rows.size(), 2u);
+  ASSERT_TRUE(flipped(byLength, 0) && flipped(byLength, 1));
+  EXPECT_GT(pulses(byLength, 0), pulses(byLength, 1));
 
-  const auto bySpacing = sweepSpacing(cfg, {10e-9, 30e-9}, {50e-9}, 2000000);
-  ASSERT_EQ(bySpacing.size(), 2u);
-  ASSERT_TRUE(bySpacing[0].flipped && bySpacing[1].flipped);
-  EXPECT_LT(bySpacing[0].pulses, bySpacing[1].pulses);
+  const auto bySpacing = runFig3(
+      "fig3b_electrode_spacing",
+      {{"spacing", {10e-9, 30e-9}}, {"width", {50e-9}}}, 2000000);
+  ASSERT_EQ(bySpacing.rows.size(), 2u);
+  ASSERT_TRUE(flipped(bySpacing, 0) && flipped(bySpacing, 1));
+  EXPECT_LT(pulses(bySpacing, 0), pulses(bySpacing, 1));
 
-  const auto byAmbient = sweepAmbient(cfg, {300.0, 348.0}, {50e-9}, 2000000);
-  ASSERT_EQ(byAmbient.size(), 2u);
-  ASSERT_TRUE(byAmbient[0].flipped && byAmbient[1].flipped);
-  EXPECT_GT(byAmbient[0].pulses, byAmbient[1].pulses);
+  const auto byAmbient =
+      runFig3("fig3c_ambient_temperature",
+              {{"ambient", {300.0, 348.0}}, {"width", {50e-9}}}, 2000000);
+  ASSERT_EQ(byAmbient.rows.size(), 2u);
+  ASSERT_TRUE(flipped(byAmbient, 0) && flipped(byAmbient, 1));
+  EXPECT_GT(pulses(byAmbient, 0), pulses(byAmbient, 1));
 
-  const auto byPattern = sweepPatterns(cfg, HammerPulse{}, 500000);
-  ASSERT_EQ(byPattern.size(), 5u);
+  const auto byPattern = runFig3("fig3d_attack_patterns", {}, 500000);
+  ASSERT_EQ(byPattern.rows.size(), 5u);
   // Ring (8 aggressors) is the most effective pattern.
-  std::size_t ringPulses = 0, singlePulses = 0;
-  for (const auto& p : byPattern) {
-    ASSERT_TRUE(p.flipped) << patternName(p.pattern);
-    if (p.pattern == AttackPattern::Ring) ringPulses = p.pulses;
-    if (p.pattern == AttackPattern::SingleAggressor) singlePulses = p.pulses;
+  double ringPulses = 0.0, singlePulses = 0.0;
+  for (std::size_t i = 0; i < byPattern.rows.size(); ++i) {
+    const std::string& pattern = cell(byPattern, i, "pattern").text;
+    ASSERT_TRUE(flipped(byPattern, i)) << pattern;
+    if (pattern == patternName(AttackPattern::Ring)) {
+      ringPulses = pulses(byPattern, i);
+    }
+    if (pattern == patternName(AttackPattern::SingleAggressor)) {
+      singlePulses = pulses(byPattern, i);
+    }
   }
   EXPECT_LT(ringPulses, singlePulses);
 }

@@ -105,22 +105,12 @@ TEST(Config, ParsesSectionsAndComments) {
   EXPECT_FALSE(cfg.has("array.cols"));
 }
 
-TEST(Config, TypedFallbacksAndRequired) {
+TEST(Config, TypedFallbacks) {
   const auto cfg = Config::fromString("a = yes\nb = 2.5\n");
   EXPECT_TRUE(cfg.getBool("a", false));
   EXPECT_FALSE(cfg.getBool("missing", false));
-  EXPECT_DOUBLE_EQ(cfg.requireDouble("b"), 2.5);
-  EXPECT_THROW(cfg.requireDouble("missing"), std::out_of_range);
-  EXPECT_THROW(cfg.requireInt("missing"), std::out_of_range);
-  EXPECT_THROW(cfg.requireString("missing"), std::out_of_range);
-}
-
-TEST(Config, DoubleList) {
-  const auto cfg = Config::fromString("spacings = 10, 50, 90\n");
-  const auto list = cfg.getDoubleList("spacings");
-  ASSERT_EQ(list.size(), 3u);
-  EXPECT_DOUBLE_EQ(list[1], 50.0);
-  EXPECT_TRUE(cfg.getDoubleList("missing").empty());
+  EXPECT_DOUBLE_EQ(cfg.getDouble("b", 0.0), 2.5);
+  EXPECT_DOUBLE_EQ(cfg.getDouble("missing", 7.0), 7.0);
 }
 
 TEST(Config, MalformedInputThrows) {
@@ -132,22 +122,6 @@ TEST(Config, MalformedInputThrows) {
 TEST(Config, BadBoolThrows) {
   const auto cfg = Config::fromString("a = maybe\n");
   EXPECT_THROW(cfg.getBool("a", false), std::invalid_argument);
-}
-
-TEST(Config, RoundTripPreservesSections) {
-  const auto cfg = Config::fromString("global = 1\n[s]\nk = v\n[t]\nk2 = 7\n");
-  const auto back = Config::fromString(cfg.toString());
-  EXPECT_EQ(back.getInt("global", 0), 1);
-  EXPECT_EQ(back.getString("s.k", ""), "v");
-  EXPECT_EQ(back.getInt("t.k2", 0), 7);
-}
-
-TEST(Config, SetOverwrites) {
-  Config cfg;
-  cfg.set("a.b", "1");
-  cfg.set("a.b", "2");
-  EXPECT_EQ(cfg.getInt("a.b", 0), 2);
-  EXPECT_EQ(cfg.keys().size(), 1u);
 }
 
 }  // namespace
