@@ -415,10 +415,8 @@ class BenchMemristor final : public nh::spice::MemristiveModel {
   double g_ = 1e-4;
 };
 
-/// Linear SPICE transient of a 40-stage RC ladder (~42 MNA unknowns): with
-/// factorisation reuse the Jacobian is factored once per (dt, analysis) and
-/// never re-stamped, vs the seed's factor-every-step
-/// (arg: 0 = refactor every step, 1 = frozen LU).
+/// Linear SPICE transient of a 40-stage RC ladder (~42 MNA unknowns): the
+/// sparse LU is factored once per (dt, analysis) and never re-stamped.
 void BM_SpiceTransientLinear(benchmark::State& state) {
   using namespace nh::spice;
   constexpr std::size_t kStages = 40;
@@ -444,17 +442,13 @@ void BM_SpiceTransientLinear(benchmark::State& state) {
     TransientOptions opt;
     opt.tStop = 60e-9;
     opt.dtMax = 0.5e-9;
-    opt.newton.reuseFactorization = state.range(0) == 1;
     benchmark::DoNotOptimize(runTransient(ckt, opt));
   }
 }
-BENCHMARK(BM_SpiceTransientLinear)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SpiceTransientLinear)->Unit(benchmark::kMillisecond);
 
-/// SPICE transient of an 80-stage RC/memristor ladder (~82 MNA unknowns)
-/// with chord-Newton forced on vs the default full Newton (arg: 0 = full,
-/// 1 = chord). This is the measurement behind NewtonOptions::
-/// reuseMinUnknowns' conservative default: chord trades factorisations for
-/// extra stamped iterations and loses at this size on commodity hardware.
+/// SPICE transient of an 80-stage RC/memristor ladder (~82 MNA unknowns):
+/// chord-Newton on the sparse LU, every step nonlinear.
 void BM_SpiceTransientNewton(benchmark::State& state) {
   using namespace nh::spice;
   constexpr std::size_t kStages = 80;
@@ -482,12 +476,10 @@ void BM_SpiceTransientNewton(benchmark::State& state) {
     TransientOptions opt;
     opt.tStop = 60e-9;
     opt.dtMax = 0.5e-9;
-    opt.newton.reuseFactorization = state.range(0) == 1;
-    opt.newton.reuseMinUnknowns = 0;  // force chord for the comparison
     benchmark::DoNotOptimize(runTransient(ckt, opt));
   }
 }
-BENCHMARK(BM_SpiceTransientNewton)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SpiceTransientNewton)->Unit(benchmark::kMillisecond);
 
 /// The line-network Newton update kernel in isolation (device model
 /// evaluation excluded): dense factorisation of the full (rows+cols)
@@ -579,21 +571,14 @@ BENCHMARK(BM_SchurLineSolveLarge)
     ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
-/// Full-array distributed-line MNA DC solve, dense vs sparse stamping
-/// (arg0: array edge m, arg1: 0 = dense jacobian + dense LU, 1 = triplet
-/// stamping + cached CSR + Gilbert-Peierls LU). The netlist mirrors
-/// xbar::SpiceCrossbar: every line is a chain of per-cell segments, the
-/// device at (r, c) bridges word segment (r, c) and bit segment (c, r) --
-/// ~2 m^2 unknowns with node degree <= 4, the genuinely sparse shape
-/// NewtonOptions::sparseMinUnknowns routes to the sparse backend. The dense
-/// arm's O(n^2) re-stamp + O(n^3) factorisation is the seed scaling wall:
-/// already at m = 32 (~2.2k unknowns) it loses by orders of magnitude, and
-/// a 256x256 netlist (~132k unknowns) would need a ~140 GB dense jacobian
-/// -- representable only by the sparse arm, which is the point.
+/// Full-array distributed-line MNA DC solve (arg: array edge m) through
+/// triplet stamping, cached CSR and the RCM-ordered Gilbert-Peierls LU. The
+/// netlist mirrors xbar::SpiceCrossbar: every line is a chain of per-cell
+/// segments, the device at (r, c) bridges word segment (r, c) and bit
+/// segment (c, r) -- ~2 m^2 unknowns with node degree <= 4.
 void BM_CrossbarDcMna(benchmark::State& state) {
   using namespace nh::spice;
   const std::size_t m = static_cast<std::size_t>(state.range(0));
-  const bool sparse = state.range(1) == 1;
   Circuit ckt;
   std::vector<BenchMemristor> models(m * m);
   const auto wl = [m](std::size_t r, std::size_t c) {
@@ -628,12 +613,10 @@ void BM_CrossbarDcMna(benchmark::State& state) {
                              &models[r * m + c]);
     }
   }
-  NewtonOptions opt;
-  opt.sparseMinUnknowns = sparse ? 0 : SIZE_MAX;
   std::size_t iterations = 0;
   std::size_t unknowns = 0;
   for (auto _ : state) {
-    const SolveResult result = solveDc(ckt, opt);
+    const SolveResult result = solveDc(ckt);
     iterations = result.iterations;
     unknowns = result.x.size();
     benchmark::DoNotOptimize(result.x);
@@ -642,12 +625,10 @@ void BM_CrossbarDcMna(benchmark::State& state) {
   state.counters["rows"] = static_cast<double>(unknowns);
 }
 BENCHMARK(BM_CrossbarDcMna)
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({64, 1})
-    ->Args({128, 1})
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 void BM_AlphaTableHub(benchmark::State& state) {

@@ -2,28 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/cancellation.hpp"
 #include "util/faultinject.hpp"
 #include "util/linsolve.hpp"
-#include "util/log.hpp"
 #include "util/sparse.hpp"
 
 namespace nh::spice {
 
 namespace {
 
-using nh::util::Matrix;
 using nh::util::Vector;
 
+constexpr std::size_t kMaxNewtonIterations = 100;
+constexpr double kAbsTol = 1e-9;         ///< Absolute voltage tolerance [V].
+constexpr double kRelTol = 1e-6;         ///< Relative voltage tolerance.
+constexpr double kMaxStepVoltage = 0.5;  ///< Per-iteration update limiter [V].
+/// Steps between stale-LU probes once the chord has been distrusted.
+constexpr std::size_t kChordProbeInterval = 8;
+
 /// Newton solver with persistent storage and LU reuse. One engine lives for
-/// a whole analysis (every timestep of a transient), so the Jacobian, the
-/// right-hand side, and the factorisation survive between solves:
+/// a whole analysis (every timestep of a transient), so the triplet stream,
+/// the sparsity pattern, the CSR and the factorisation survive between
+/// solves:
 ///  * linear circuits re-factor only when dt (or the analysis kind) changes;
-///    with a frozen Jacobian the matrix is not even re-stamped -- elements
-///    only rebuild the rhs (time-dependent sources);
+///    with a frozen LU the matrix is not even re-stamped -- elements only
+///    rebuild the rhs (time-dependent sources);
 ///  * nonlinear circuits run chord-Newton on the true KCL residual
 ///    r = b(x) - J(x) x, which converges to the same solution for any
 ///    (nonsingular) frozen factorisation; the stale factorisation gets the
@@ -31,49 +38,35 @@ using nh::util::Vector;
 ///    adaptive probe skips even that shot while it keeps missing.
 class NewtonEngine {
  public:
+  /// Solve at (\p time, \p dt), iterating from the previous accepted
+  /// solution \p xPrev (all zeros for a DC operating point).
   SolveResult solve(Circuit& circuit, double time, double dt, bool transient,
-                    const Vector& xPrev, const NewtonOptions& options,
-                    const Vector& initialGuess) {
+                    const Vector& xPrev) {
     const std::size_t n = circuit.unknownCount();
     const std::size_t nodeUnknowns = circuit.nodeCount() - 1;
 
     SolveResult result;
-    result.x = initialGuess.size() == n ? initialGuess : Vector(n, 0.0);
+    result.x = xPrev;
 
-    // Storage-mode selection. Crossbar netlists grow past the point where a
-    // dense n x n Jacobian is even allocatable (1024x1024 arrays -> n ~ 10^6),
-    // so large systems stamp triplets and factor sparsely; small systems keep
-    // the seed's dense path bit-for-bit.
-    const bool wantSparse = n >= options.sparseMinUnknowns;
-    if (n != sysN_ || wantSparse != useSparse_) {
+    if (n != sysN_) {
       sysN_ = n;
-      useSparse_ = wantSparse;
       rhs_.assign(n, 0.0);
+      triplets_ = nh::util::TripletBuilder(n, n);
+      patternValid_ = false;
       luValid_ = false;
-      if (useSparse_) {
-        jacobian_.resize(0, 0, 0.0);  // release the dense storage
-        triplets_ = nh::util::TripletBuilder(n, n);
-        patternValid_ = false;
-      } else {
-        jacobian_.resize(n, n, 0.0);
-      }
     }
-    const bool frozenLuUsable = options.reuseFactorization && luValid_ &&
-                                dt == luDt_ && transient == luTransient_;
+    const bool frozenLuUsable =
+        luValid_ && dt == luDt_ && transient == luTransient_;
 
     if (!circuit.hasNonlinear()) {
       return solveLinear(circuit, time, dt, transient, xPrev, frozenLuUsable,
                          std::move(result), nodeUnknowns);
     }
-    // Below the size threshold the factorisation is cheaper than the extra
-    // chord iterations: run the classic full Newton.
-    NewtonOptions effective = options;
-    if (n < options.reuseMinUnknowns) effective.reuseFactorization = false;
     // Adaptive chord: when the last solve's stale-LU shot missed, the
     // Jacobian is drifting too fast between steps -- skip the wasted stale
     // iteration and re-factor upfront, re-probing the chord every few steps
     // in case the circuit has settled.
-    bool tryStale = frozenLuUsable && effective.reuseFactorization;
+    bool tryStale = frozenLuUsable;
     if (tryStale && !chordTrusted_) {
       if (++chordProbeCountdown_ >= kChordProbeInterval) {
         chordProbeCountdown_ = 0;  // probe the stale LU this step
@@ -81,7 +74,7 @@ class NewtonEngine {
         tryStale = false;
       }
     }
-    return solveNewton(circuit, time, dt, transient, xPrev, effective, tryStale,
+    return solveNewton(circuit, time, dt, transient, xPrev, tryStale,
                        std::move(result), nodeUnknowns);
   }
 
@@ -91,33 +84,26 @@ class NewtonEngine {
                           SolveResult result, std::size_t nodeUnknowns) {
     const std::size_t n = sysN_;
     std::fill(rhs_.begin(), rhs_.end(), 0.0);
-    if (!reuseLu) clearMatrixTarget();
+    if (!reuseLu) triplets_.clear();
     // With a frozen LU the conductance stamps are no-ops (stampMatrix
     // false): only the rhs is rebuilt, and the previous factorisation is
     // solved against it -- bit-identical to re-stamping and re-factoring
     // the identical matrix.
-    StampContext ctx{useSparse_ ? nullptr : &jacobian_,
-                     useSparse_ ? &triplets_ : nullptr,
-                     rhs_,      result.x, xPrev,
-                     time,      dt,       transient, /*stampMatrix=*/!reuseLu};
+    StampContext ctx{triplets_, rhs_,      result.x,
+                     xPrev,     time,      dt,
+                     transient, /*stampMatrix=*/!reuseLu};
     for (const auto& e : circuit.elements()) e->stamp(ctx);
     if (!reuseLu) {
-      // gmin from every node to ground keeps otherwise-floating nodes defined.
       stampGmin(circuit.gmin(), nodeUnknowns);
-      if (useSparse_) assembleSparse();
-      if (!factorSystem()) {
-        luValid_ = false;
+      if (!assembleAndFactor(dt, transient)) {
         result.converged = false;
         return result;
       }
-      luValid_ = true;
-      luDt_ = dt;
-      luTransient_ = transient;
     }
     // solveInPlace into the persistent scratch: the same substitution
     // sequence as solve(), without the per-step allocation.
     xNew_.assign(rhs_.begin(), rhs_.end());
-    solveSystem(xNew_);
+    sparseLu_.solveInPlace(xNew_);
     double maxUpdate = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double delta = xNew_[i] - result.x[i];
@@ -132,8 +118,8 @@ class NewtonEngine {
 
   SolveResult solveNewton(Circuit& circuit, double time, double dt,
                           bool transient, const Vector& xPrev,
-                          const NewtonOptions& options, bool frozenLuUsable,
-                          SolveResult result, std::size_t nodeUnknowns) {
+                          bool frozenLuUsable, SolveResult result,
+                          std::size_t nodeUnknowns) {
     const std::size_t n = sysN_;
     bool refactor = !frozenLuUsable;
     bool refactoredThisSolve = !frozenLuUsable;
@@ -145,89 +131,44 @@ class NewtonEngine {
       return result;
     }
 
-    for (std::size_t iter = 0; iter < options.maxIterations; ++iter) {
+    for (std::size_t iter = 0; iter < kMaxNewtonIterations; ++iter) {
       nh::util::checkCancellation("newton iteration");
-      clearMatrixTarget();
+      triplets_.clear();
       std::fill(rhs_.begin(), rhs_.end(), 0.0);
 
-      StampContext ctx{useSparse_ ? nullptr : &jacobian_,
-                       useSparse_ ? &triplets_ : nullptr,
-                       rhs_, result.x, xPrev, time, dt, transient};
+      StampContext ctx{triplets_, rhs_, result.x, xPrev, time, dt, transient};
       for (const auto& e : circuit.elements()) e->stamp(ctx);
-      // gmin from every node to ground keeps otherwise-floating nodes defined.
       stampGmin(circuit.gmin(), nodeUnknowns);
       // The chord residual needs J(x) even on iterations that keep a stale
       // factorisation, so the CSR is refreshed every pass.
-      if (useSparse_) assembleSparse();
-
-      double maxUpdate = 0.0;
-      if (options.reuseFactorization) {
-        // Chord-Newton: delta = LU^{-1} (b - J x) with a possibly stale LU.
-        // The companion-model linearisation makes b - J x the true KCL
-        // residual at x, so any nonsingular LU yields the same fixed point.
-        if (refactor) {
-          if (!factorSystem()) {
-            luValid_ = false;
-            result.converged = false;
-            return result;
-          }
-          luValid_ = true;
-          luDt_ = dt;
-          luTransient_ = transient;
-          refactor = false;
-          refactoredThisSolve = true;
-        }
-        delta_.resize(n);
-        if (useSparse_) {
-          aCsr_.multiplyInto(result.x, delta_);  // delta = J x ...
-          for (std::size_t r = 0; r < n; ++r) delta_[r] = rhs_[r] - delta_[r];
-        } else {
-          const double* j = jacobian_.data();
-          for (std::size_t r = 0; r < n; ++r) {
-            double acc = rhs_[r];
-            const double* row = j + r * n;
-            for (std::size_t c = 0; c < n; ++c) acc -= row[c] * result.x[c];
-            delta_[r] = acc;
-          }
-        }
-        solveSystem(delta_);
-        for (std::size_t i = 0; i < n; ++i) {
-          double delta = delta_[i];
-          if (i < nodeUnknowns) {
-            delta = std::clamp(delta, -options.maxStepVoltage,
-                               options.maxStepVoltage);
-            maxUpdate = std::max(maxUpdate, std::fabs(delta));
-          }
-          result.x[i] += delta;
-        }
-      } else {
-        // Classic full Newton (seed behaviour): factor every iteration and
-        // solve the companion system for the next iterate directly. The
-        // persistent lu_/xNew_ replace the seed's per-iteration allocations;
-        // refactor()+solveInPlace() run the identical elimination and
-        // substitution sequences, so the results are bit-identical.
-        if (!factorSystem()) {
-          luValid_ = false;
+      if (refactor) {
+        if (!assembleAndFactor(dt, transient)) {
           result.converged = false;
           return result;
         }
-        luValid_ = true;
-        luDt_ = dt;
-        luTransient_ = transient;
-        xNew_.assign(rhs_.begin(), rhs_.end());
-        solveSystem(xNew_);
-        // Voltage limiting: clamp node-voltage updates to keep the
-        // exponential devices inside a trust region (standard SPICE
-        // practice).
-        for (std::size_t i = 0; i < n; ++i) {
-          double delta = xNew_[i] - result.x[i];
-          if (i < nodeUnknowns) {
-            delta = std::clamp(delta, -options.maxStepVoltage,
-                               options.maxStepVoltage);
-            maxUpdate = std::max(maxUpdate, std::fabs(delta));
-          }
-          result.x[i] += delta;
+        refactor = false;
+        refactoredThisSolve = true;
+      } else {
+        assemble();
+      }
+
+      // Chord-Newton: delta = LU^{-1} (b - J x) with a possibly stale LU.
+      // The companion-model linearisation makes b - J x the true KCL
+      // residual at x, so any nonsingular LU yields the same fixed point.
+      delta_.resize(n);
+      aCsr_.multiplyInto(result.x, delta_);  // delta = J x ...
+      for (std::size_t r = 0; r < n; ++r) delta_[r] = rhs_[r] - delta_[r];
+      sparseLu_.solveInPlace(delta_);
+      // Voltage limiting: clamp node-voltage updates to keep the
+      // exponential devices inside a trust region (standard SPICE practice).
+      double maxUpdate = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        double delta = delta_[i];
+        if (i < nodeUnknowns) {
+          delta = std::clamp(delta, -kMaxStepVoltage, kMaxStepVoltage);
+          maxUpdate = std::max(maxUpdate, std::fabs(delta));
         }
+        result.x[i] += delta;
       }
       result.iterations = iter + 1;
       result.maxUpdate = maxUpdate;
@@ -239,29 +180,27 @@ class NewtonEngine {
         if (frozenLuUsable) chordTrusted_ = false;
         return result;
       }
-      double tolerance = options.absTol;
+      double tolerance = kAbsTol;
       for (std::size_t i = 0; i < nodeUnknowns; ++i) {
-        tolerance = std::max(
-            tolerance, options.absTol + options.relTol * std::fabs(result.x[i]));
+        tolerance =
+            std::max(tolerance, kAbsTol + kRelTol * std::fabs(result.x[i]));
       }
       if (maxUpdate < tolerance) {
         result.converged = true;
         // Re-grade the chord only when a stale shot was actually taken:
         // solves that started with a refactor (first step, changed dt,
         // skipped probe) say nothing about the frozen LU's accuracy.
-        if (options.reuseFactorization && frozenLuUsable) {
-          chordTrusted_ = !refactoredThisSolve;
-        }
+        if (frozenLuUsable) chordTrusted_ = !refactoredThisSolve;
         return result;
       }
       // Safeguard: the stale factorisation only ever gets the first
       // iteration of a solve. When the frozen Jacobian is still accurate
       // (small state drift between timesteps) that shot converges and the
       // whole step costs zero factorisations; otherwise every remaining
-      // iteration re-factors -- exactly full Newton plus at most one cheap
-      // O(n^2) probe. Iterating further on a stale LU would trade one
-      // O(n^3) factorisation for many linearly-convergent iterations and
-      // lose whenever element stamping is non-trivial.
+      // iteration re-factors -- full Newton plus at most one cheap probe.
+      // Iterating further on a stale LU would trade one factorisation for
+      // many linearly-convergent iterations and lose whenever element
+      // stamping is non-trivial.
       refactor = true;
     }
     result.converged = false;
@@ -269,30 +208,18 @@ class NewtonEngine {
     return result;
   }
 
-  /// Zero the active matrix target before a (re-)stamp.
-  void clearMatrixTarget() {
-    if (useSparse_) {
-      triplets_.clear();
-    } else {
-      jacobian_.fill(0.0);
-    }
-  }
-
-  /// gmin from every node to ground, appended after the element stamps so
-  /// the triplet sequence stays fixed per netlist (pattern-refill contract).
+  /// gmin from every node to ground keeps otherwise-floating nodes defined.
+  /// Appended after the element stamps so the triplet sequence stays fixed
+  /// per netlist (pattern-refill contract).
   void stampGmin(double gmin, std::size_t nodeUnknowns) {
-    if (useSparse_) {
-      for (std::size_t i = 0; i < nodeUnknowns; ++i) triplets_.add(i, i, gmin);
-    } else {
-      for (std::size_t i = 0; i < nodeUnknowns; ++i) jacobian_(i, i) += gmin;
-    }
+    for (std::size_t i = 0; i < nodeUnknowns; ++i) triplets_.add(i, i, gmin);
   }
 
   /// Rebuild the CSR from the freshly-stamped triplets. A fixed netlist
   /// issues the same stamp sequence every pass, so after the first symbolic
   /// analysis this is an O(nnz) value refill; a changed entry count (edited
   /// netlist between solves) re-runs the symbolic phase.
-  void assembleSparse() {
+  void assemble() {
     if (!patternValid_ || pattern_.entryCount() != triplets_.entryCount()) {
       pattern_ = nh::util::SparsityPattern::fromTriplets(triplets_);
       patternValid_ = true;
@@ -300,33 +227,19 @@ class NewtonEngine {
     pattern_.assemble(triplets_, aCsr_);
   }
 
-  /// Factor the freshly-assembled system with the active backend.
-  bool factorSystem() {
-    return useSparse_ ? sparseLu_.refactor(aCsr_) : lu_.refactor(jacobian_);
+  /// Assemble and factor the freshly-stamped system; on success the LU is
+  /// frozen for (\p dt, \p transient).
+  bool assembleAndFactor(double dt, bool transient) {
+    assemble();
+    luValid_ = sparseLu_.refactor(aCsr_);
+    luDt_ = dt;
+    luTransient_ = transient;
+    return luValid_;
   }
 
-  /// Substitute against the last successful factorisation.
-  void solveSystem(Vector& v) {
-    if (useSparse_) {
-      sparseLu_.solveInPlace(v);
-    } else {
-      lu_.solveInPlace(v);
-    }
-  }
-
-  /// Steps between stale-LU probes once the chord has been distrusted.
-  static constexpr std::size_t kChordProbeInterval = 8;
-
-  Matrix jacobian_;
   Vector rhs_;
   Vector delta_;
   Vector xNew_;
-  nh::util::LuFactorization lu_;
-  // Sparse backend (n >= NewtonOptions::sparseMinUnknowns): elements stamp a
-  // triplet stream, a cached SparsityPattern refills the CSR without
-  // allocation, and the Gilbert-Peierls SparseLu replaces the dense
-  // factorisation. The Newton/chord logic above is shared between backends.
-  bool useSparse_ = false;
   std::size_t sysN_ = 0;
   nh::util::TripletBuilder triplets_{0, 0};
   nh::util::SparsityPattern pattern_;
@@ -340,23 +253,14 @@ class NewtonEngine {
   std::size_t chordProbeCountdown_ = 0;
 };
 
-/// One Newton solve of the MNA system at a fixed (time, dt) without
-/// cross-call reuse (DC operating points, one-shot callers).
-SolveResult newtonSolve(Circuit& circuit, double time, double dt, bool transient,
-                        const Vector& xPrev, const NewtonOptions& options,
-                        const Vector& initialGuess) {
-  NewtonEngine engine;
-  return engine.solve(circuit, time, dt, transient, xPrev, options, initialGuess);
-}
-
 }  // namespace
 
-SolveResult solveDc(Circuit& circuit, const NewtonOptions& options,
-                    const Vector& initialGuess) {
+SolveResult solveDc(Circuit& circuit) {
   circuit.finalize();
   const Vector xPrev(circuit.unknownCount(), 0.0);
-  return newtonSolve(circuit, /*time=*/0.0, /*dt=*/0.0, /*transient=*/false,
-                     xPrev, options, initialGuess);
+  NewtonEngine engine;
+  return engine.solve(circuit, /*time=*/0.0, /*dt=*/0.0, /*transient=*/false,
+                      xPrev);
 }
 
 std::size_t TransientResult::seriesIndex(const std::string& label) const {
@@ -372,8 +276,21 @@ const std::vector<double>& TransientResult::seriesFor(const std::string& label) 
 
 TransientResult runTransient(Circuit& circuit, const TransientOptions& options,
                              const std::vector<Probe>& probes) {
-  if (!(options.tStop > 0.0)) {
-    throw std::invalid_argument("runTransient: tStop must be > 0");
+  // A zero or negative step never advances t: the loop below would spin
+  // forever, so every time bound is checked up front.
+  const std::pair<const char*, double> bounds[] = {
+      {"tStop", options.tStop},
+      {"dtInitial", options.dtInitial},
+      {"dtMax", options.dtMax},
+      {"dtMin", options.dtMin}};
+  for (const auto& [name, value] : bounds) {
+    if (!(std::isfinite(value) && value > 0.0)) {
+      throw std::invalid_argument(std::string("runTransient: ") + name +
+                                  " must be finite and > 0");
+    }
+  }
+  if (options.dtMin > options.dtMax) {
+    throw std::invalid_argument("runTransient: dtMin must not exceed dtMax");
   }
   circuit.finalize();
 
@@ -383,14 +300,14 @@ TransientResult runTransient(Circuit& circuit, const TransientOptions& options,
   result.series.assign(probes.size(), {});
 
   // Initial condition: DC operating point at t = 0.
-  SolveResult op = solveDc(circuit, options.newton);
+  SolveResult op = solveDc(circuit);
   if (!op.converged) {
     result.failureReason = "initial DC operating point did not converge";
     return result;
   }
   Vector x = op.x;
 
-  // One engine for the whole transient: the Jacobian storage and its LU
+  // One engine for the whole transient: the CSR storage and its LU
   // factorisation persist across timesteps (see NewtonEngine).
   NewtonEngine engine;
 
@@ -413,7 +330,7 @@ TransientResult runTransient(Circuit& circuit, const TransientOptions& options,
     }
 
     const SolveResult sr = engine.solve(circuit, t + step, step,
-                                        /*transient=*/true, x, options.newton, x);
+                                        /*transient=*/true, x);
     if (!sr.converged) {
       // Convergence failure: shrink the step and retry.
       dt *= 0.25;

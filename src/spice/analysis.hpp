@@ -3,7 +3,11 @@
 /// MNA analyses: Newton-Raphson DC operating point and a backward-Euler
 /// transient engine with breakpoint-aware, convergence-adaptive timestep
 /// control. This is the "Cadence Virtuoso" substitute for the paper's
-/// circuit-level simulation flow.
+/// circuit-level simulation flow. Every netlist takes one solve path:
+/// elements stamp a triplet stream, a cached SparsityPattern assembles the
+/// CSR, SparseLu (RCM-ordered) factors it, and nonlinear circuits iterate
+/// chord-Newton on the true KCL residual while linear circuits reuse their
+/// frozen LU.
 
 #include <functional>
 #include <string>
@@ -12,43 +16,6 @@
 #include "spice/circuit.hpp"
 
 namespace nh::spice {
-
-/// Newton-Raphson controls.
-struct NewtonOptions {
-  std::size_t maxIterations = 100;
-  double absTol = 1e-9;        ///< Absolute voltage tolerance [V].
-  double relTol = 1e-6;        ///< Relative voltage tolerance.
-  double maxStepVoltage = 0.5; ///< Per-iteration voltage-update limiter [V].
-  /// Reuse the LU factorisation of the Jacobian while it is (effectively)
-  /// frozen. Linear circuits factor once per (dt, analysis) and skip the
-  /// matrix re-stamp entirely -- bit-identical to re-factoring. Nonlinear
-  /// circuits run chord-Newton on the true KCL residual: the update
-  /// direction uses a stale factorisation until convergence stalls, at which
-  /// point the safeguard re-factors with the current Jacobian; the fixed
-  /// point is the same nonlinear solution within the Newton tolerances.
-  /// Set false for the classic factor-every-iteration Newton (the seed
-  /// behaviour, used as the reference in equivalence tests).
-  bool reuseFactorization = true;
-  /// Nonlinear circuits only use chord-Newton at or above this unknown
-  /// count. Linear circuits reuse their frozen LU at any size (pure win,
-  /// bit-identical); for nonlinear circuits the chord's stale-LU probe
-  /// spends an extra stamp + O(n^2) solve whenever it misses, and
-  /// bench/perf_solvers (BM_SpiceTransientNewton) measures full Newton as
-  /// faster up to several hundred unknowns on commodity hardware -- so the
-  /// default keeps chord off for every MNA system this project builds.
-  /// Lower the threshold (0 = always chord) for very large netlists or to
-  /// reproduce the benchmark comparison.
-  std::size_t reuseMinUnknowns = 512;
-  /// At or above this unknown count the engine stamps into a triplet stream
-  /// (cached SparsityPattern, CSR assembly) and factors with the sparse
-  /// Gilbert-Peierls LU instead of allocating and eliminating a dense n x n
-  /// Jacobian. Crossbar MNA matrices have O(n) nonzeros, so this turns the
-  /// O(n^3)/O(n^2) dense wall into near-linear work; the Newton/chord
-  /// iteration logic and the frozen-factorisation semantics are unchanged.
-  /// Set to SIZE_MAX to force the dense seed path at any size, 0 to force
-  /// sparse everywhere (equivalence tests exercise both).
-  std::size_t sparseMinUnknowns = 512;
-};
 
 /// Result of a Newton solve.
 struct SolveResult {
@@ -59,9 +26,8 @@ struct SolveResult {
 };
 
 /// DC operating point: solves the nonlinear MNA system at time 0 with
-/// capacitors open. \p initialGuess may be empty (starts from zero).
-SolveResult solveDc(Circuit& circuit, const NewtonOptions& options = {},
-                    const nh::util::Vector& initialGuess = {});
+/// capacitors open, starting from x = 0.
+SolveResult solveDc(Circuit& circuit);
 
 /// A probe records one scalar per accepted transient step.
 struct Probe {
@@ -75,7 +41,6 @@ struct TransientOptions {
   double dtInitial = 1e-10;    ///< First step [s].
   double dtMax = 1e-9;         ///< Ceiling [s].
   double dtMin = 1e-15;        ///< Floor before declaring failure [s].
-  NewtonOptions newton;
   bool alignToBreakpoints = true;  ///< Clip steps to waveform edges.
   /// Invoked after every accepted step (x, time, dt). Used for inter-element
   /// couplings outside the MNA system -- the crosstalk hub exchanges
@@ -98,7 +63,9 @@ struct TransientResult {
 };
 
 /// Run a transient analysis. Stateful elements (capacitors, memristors) are
-/// advanced via Element::acceptStep after each converged step.
+/// advanced via Element::acceptStep after each converged step. Throws
+/// std::invalid_argument unless tStop and the three step bounds are finite
+/// and > 0 with dtMin <= dtMax.
 TransientResult runTransient(Circuit& circuit, const TransientOptions& options,
                              const std::vector<Probe>& probes = {});
 

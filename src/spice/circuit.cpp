@@ -11,20 +11,11 @@ void StampContext::stampConductance(NodeId a, NodeId b, double g) {
   if (!stampMatrix) return;
   const std::size_t ia = indexOf(a);
   const std::size_t ib = indexOf(b);
-  if (triplets) {
-    if (ia != kGround) triplets->add(ia, ia, g);
-    if (ib != kGround) triplets->add(ib, ib, g);
-    if (ia != kGround && ib != kGround) {
-      triplets->add(ia, ib, -g);
-      triplets->add(ib, ia, -g);
-    }
-    return;
-  }
-  if (ia != kGround) (*jacobian)(ia, ia) += g;
-  if (ib != kGround) (*jacobian)(ib, ib) += g;
+  if (ia != kGround) triplets.add(ia, ia, g);
+  if (ib != kGround) triplets.add(ib, ib, g);
   if (ia != kGround && ib != kGround) {
-    (*jacobian)(ia, ib) -= g;
-    (*jacobian)(ib, ia) -= g;
+    triplets.add(ia, ib, -g);
+    triplets.add(ib, ia, -g);
   }
 }
 
@@ -37,11 +28,7 @@ void StampContext::stampCurrentSource(NodeId a, NodeId b, double i) {
 
 void StampContext::stampJacobian(std::size_t row, std::size_t col, double value) {
   if (!stampMatrix) return;
-  if (triplets) {
-    triplets->add(row, col, value);
-    return;
-  }
-  (*jacobian)(row, col) += value;
+  triplets.add(row, col, value);
 }
 
 void StampContext::addRhs(std::size_t row, double value) { rhs[row] += value; }

@@ -3,7 +3,8 @@
 /// Netlist container and the element stamping interface of the modified
 /// nodal analysis (MNA) engine. Node 0 is ground. Every non-ground node
 /// contributes one unknown (its voltage); elements may request auxiliary
-/// unknowns (branch currents, e.g. for voltage sources).
+/// unknowns (branch currents, e.g. for voltage sources). Elements stamp into
+/// a sparse triplet stream; see analysis.hpp for the solve path.
 
 #include <cstddef>
 #include <map>
@@ -24,16 +25,12 @@ using NodeId = std::size_t;
 
 /// Everything an element needs to stamp its Newton-linearised companion
 /// model into the MNA system G*x = rhs at the candidate solution \p x.
-/// Exactly one of the two matrix targets is set: \p jacobian for the dense
-/// path (small netlists), \p triplets for the sparse path (large netlists,
-/// where the analyses assemble a CSR through a cached SparsityPattern and
-/// factor it with SparseLu). Elements only stamp through the methods below,
-/// so they are target-agnostic; because every element issues the same stamp
-/// sequence each rebuild, the triplet stream satisfies the
-/// SparsityPattern::assemble refill contract.
+/// Matrix entries stream into \p triplets; the analyses assemble the CSR
+/// through a cached SparsityPattern and factor it with SparseLu. Because
+/// every element issues the same stamp sequence each rebuild, the triplet
+/// stream satisfies the SparsityPattern::assemble refill contract.
 struct StampContext {
-  nh::util::Matrix* jacobian = nullptr;        ///< Dense target (or null).
-  nh::util::TripletBuilder* triplets = nullptr;///< Sparse target (or null).
+  nh::util::TripletBuilder& triplets;  ///< Matrix target.
   nh::util::Vector& rhs;        ///< Right-hand side.
   const nh::util::Vector& x;    ///< Candidate solution this Newton iteration.
   const nh::util::Vector& xPrev;///< Accepted solution of the previous timestep.

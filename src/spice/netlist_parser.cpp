@@ -1,6 +1,7 @@
 #include "spice/netlist_parser.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -113,7 +114,16 @@ std::unique_ptr<Waveform> parseSourceWaveform(const std::vector<std::string>& fi
     p.fall = a[4];
     p.width = a[5];
     p.period = a[6];
-    p.count = a.size() == 8 ? static_cast<long long>(a[7]) : -1;
+    if (a.size() == 8) {
+      // Whole numbers in [-1, 2^53] convert exactly; anything else (2.5,
+      // 1e30, NaN) would truncate or overflow the cast.
+      const double count = a[7];
+      if (!(count >= -1.0 && count <= 9007199254740992.0 &&
+            std::floor(count) == count)) {
+        fail(lineNo, line, "PULSE count must be a whole number in [-1, 2^53]");
+      }
+      p.count = static_cast<long long>(count);
+    }
     return std::make_unique<PulseWaveform>(p);
   }
   if (lowered.rfind("pwl", 0) == 0) {

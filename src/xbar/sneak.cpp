@@ -4,6 +4,7 @@
 
 #include "spice/analysis.hpp"
 #include "spice/elements.hpp"
+#include "util/linsolve.hpp"
 
 namespace nh::xbar {
 
@@ -76,7 +77,11 @@ SneakAnalysis analyzeSneak(const CrossbarArray& array, std::size_t selRow,
 
   ReadCircuit rc = buildReadCircuit(array, selRow, selCol, vRead, scheme);
   const auto op = nh::spice::solveDc(rc.circuit);
-  if (!op.converged) throw std::runtime_error("analyzeSneak: DC solve failed");
+  if (!op.converged) {
+    throw nh::util::SolverError("spice.newton",
+                                "analyzeSneak: DC solve did not converge",
+                                op.iterations, op.maxUpdate);
+  }
 
   const auto nodeV = [&](nh::spice::NodeId id) {
     return id == 0 ? 0.0 : op.x[id - 1];

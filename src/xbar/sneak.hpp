@@ -36,7 +36,8 @@ struct SneakAnalysis {
 
 /// Solve the resistive crossbar network for one read and decompose the
 /// currents. The array's device states are used as stored data; the array
-/// is not modified.
+/// is not modified. A DC solve that does not converge throws
+/// nh::util::SolverError("spice.newton").
 SneakAnalysis analyzeSneak(const CrossbarArray& array, std::size_t selRow,
                            std::size_t selCol, double vRead, ReadScheme scheme);
 

@@ -158,7 +158,6 @@ nh::spice::TransientResult SpiceCrossbar::run(double tStop) {
   opt.tStop = tStop;
   opt.dtInitial = options_.dtInitial;
   opt.dtMax = options_.dtMax;
-  opt.newton = options_.newton;
   opt.onStepAccepted = [this](const nh::util::Vector&, double, double) {
     refreshCrosstalk();
   };

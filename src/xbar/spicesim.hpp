@@ -3,8 +3,9 @@
 /// Circuit-accurate crossbar engine: builds a full nh::spice netlist with a
 /// distributed line model (per-segment word/bit line resistance, line
 /// capacitance, driver impedance) and one behavioural memristor per cell,
-/// then runs the transient analysis. This is the high-fidelity reference
-/// path ("Cadence Virtuoso" role); the FastEngine is validated against it.
+/// then runs the transient analysis (sparse MNA, chord-Newton; see
+/// spice/analysis.hpp). This is the high-fidelity reference path ("Cadence
+/// Virtuoso" role); the FastEngine is validated against it.
 
 #include <memory>
 #include <string>
@@ -24,10 +25,6 @@ struct SpiceEngineOptions {
   double dtInitial = 1e-11;
   /// Record per-cell state/temperature traces (adds probes).
   bool traceCells = true;
-  /// Newton controls forwarded to the transient analysis. The defaults keep
-  /// the seed behaviour at seed sizes; large crossbar netlists cross
-  /// NewtonOptions::sparseMinUnknowns and route through the sparse stack.
-  nh::spice::NewtonOptions newton;
 };
 
 /// Per-line pulse programming: the stimuli for one transient run.

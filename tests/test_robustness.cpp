@@ -439,6 +439,29 @@ TEST_F(RegisteredExperimentFaults, DeviceAndLineNetworkNewtonFailuresFlagOneRow)
   }
 }
 
+TEST_F(RegisteredExperimentFaults, SneakPathDcFailureFlagsThePoint) {
+  // analyzeSneak reports a non-converged DC solve as
+  // SolverError("spice.newton"), so under keep-going the point settles as a
+  // Failed outcome that names the solve.
+  namespace fi = nh::util::faultinject;
+  using nh::core::PointOutcome;
+
+  nh::core::RunOptions options;
+  options.fast = true;
+  options.threads = 1;
+  options.axisOverrides = {{"size", {5}}, {"scheme", {0}}};
+  options.onPointFailure = nh::core::PointFailurePolicy::Skip;
+  fi::arm("spice.newton", 1);
+  const nh::core::ExperimentResult result = nh::core::runExperiment(
+      nh::core::makeExperiment("sneak_path_margin"), options);
+  EXPECT_TRUE(fi::fired("spice.newton"));
+  ASSERT_EQ(result.outcomes.size(), 1u);
+  EXPECT_EQ(result.pointsFailed, 1u);
+  EXPECT_EQ(result.outcomes[0].status, PointOutcome::Status::Failed);
+  EXPECT_EQ(result.outcomes[0].error.rfind("spice.newton", 0), 0u)
+      << result.outcomes[0].error;
+}
+
 TEST_F(RegisteredExperimentFaults, CancelledThenResumedRunMatchesExactly) {
   using nh::core::PointOutcome;
   const std::filesystem::path dir =

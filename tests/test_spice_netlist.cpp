@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "spice/analysis.hpp"
 #include "spice/elements.hpp"
@@ -126,6 +127,31 @@ TEST(NetlistParser, ErrorsCarryLineContext) {
   EXPECT_THROW(parseNetlist(ckt, "V1 a 0 PULSE(1 2 3)\n"), std::runtime_error);
   EXPECT_THROW(parseNetlist(ckt, "V1 a 0 PWL(0 0 1)\n"), std::runtime_error);
   EXPECT_THROW(parseNetlist(ckt, ".tran 1n 1u\n"), std::runtime_error);
+}
+
+TEST(NetlistParser, PulseCountMustBeAWholeNumberInRange) {
+  // A fractional count would truncate silently and an out-of-range one
+  // would make the integer conversion undefined: both are named errors.
+  for (const char* count : {"2.5", "1e30", "-2"}) {
+    SCOPED_TRACE(count);
+    Circuit ckt;
+    const std::string netlist = std::string("R1 a 0 1k\nV1 a 0 PULSE(0 1 0 1n 1n 5n 10n ") +
+                                count + ")\n";
+    try {
+      parseNetlist(ckt, netlist);
+      FAIL() << "expected throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find("PULSE count"), std::string::npos) << what;
+    }
+  }
+  for (const char* count : {"-1", "0", "3", "9007199254740992"}) {
+    SCOPED_TRACE(count);
+    Circuit ckt;
+    EXPECT_NO_THROW(parseNetlist(
+        ckt, std::string("V1 a 0 PULSE(0 1 0 1n 1n 5n 10n ") + count + ")\n"));
+  }
 }
 
 TEST(NetlistParser, TransientOfParsedRcMatchesAnalytic) {

@@ -1,61 +1,107 @@
-/// Sparse-vs-dense MNA stamping equivalence. NewtonOptions::sparseMinUnknowns
-/// picks the matrix target (dense Jacobian + dense LU below, triplet-stream
-/// CSR + Gilbert-Peierls LU at or above); these tests force both paths over
-/// every netlist shape the seed suite builds -- linear dividers, stacked
-/// sources, diodes, gmin-only floating nodes, and the distributed-segment
-/// crossbar (DC and transient) -- and require the same solution. The sparse
-/// LU pivots in a different order than the dense factorisation, so the
-/// comparison is within Newton/solver tolerance rather than bit-exact.
+/// Sparse MNA solve path vs a dense full-Newton reference. The engine has
+/// one path (triplet stamping, cached CSR, RCM-ordered SparseLu,
+/// chord-Newton); these tests hold it to a test-local classic Newton that
+/// densifies the same stamps and solves them with util::solveDense, over
+/// every netlist shape the suite builds -- linear dividers, stacked sources,
+/// diodes, gmin-only floating nodes, and the distributed-segment crossbar.
+/// The two pivot in different orders, so the comparison is within
+/// Newton/solver tolerance rather than bit-exact.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "spice/analysis.hpp"
 #include "spice/elements.hpp"
+#include "util/linsolve.hpp"
+#include "util/sparse.hpp"
 #include "xbar/array.hpp"
-#include "xbar/fastsim.hpp"
 #include "xbar/scheme.hpp"
 #include "xbar/spicesim.hpp"
 
 namespace nh::spice {
 namespace {
 
-NewtonOptions denseForced() {
-  NewtonOptions opt;
-  opt.sparseMinUnknowns = SIZE_MAX;
-  return opt;
+using nh::util::Matrix;
+using nh::util::SparseMatrix;
+using nh::util::TripletBuilder;
+using nh::util::Vector;
+
+/// Classic full Newton on a dense Jacobian at the DC operating point: every
+/// iteration stamps a TripletBuilder, densifies it via SparseMatrix::at,
+/// solves J x_new = b with util::solveDense, and limits the node-voltage
+/// update with the engine's clamp and tolerances.
+SolveResult denseFullNewton(Circuit& circuit) {
+  constexpr double kAbsTol = 1e-9;
+  constexpr double kRelTol = 1e-6;
+  constexpr double kMaxStepVoltage = 0.5;
+  circuit.finalize();
+  const std::size_t n = circuit.unknownCount();
+  const std::size_t nodeUnknowns = circuit.nodeCount() - 1;
+  const Vector xPrev(n, 0.0);
+  SolveResult result;
+  result.x.assign(n, 0.0);
+  for (std::size_t iter = 0; iter < 100; ++iter) {
+    TripletBuilder triplets(n, n);
+    Vector rhs(n, 0.0);
+    StampContext ctx{triplets, rhs, result.x, xPrev};
+    for (const auto& e : circuit.elements()) e->stamp(ctx);
+    for (std::size_t i = 0; i < nodeUnknowns; ++i) {
+      triplets.add(i, i, circuit.gmin());
+    }
+    const SparseMatrix csr = SparseMatrix::fromTriplets(triplets);
+    Matrix jacobian(n, n, 0.0);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) jacobian(r, c) = csr.at(r, c);
+    }
+    const Vector xNew = nh::util::solveDense(jacobian, rhs);
+    double maxUpdate = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double delta = xNew[i] - result.x[i];
+      if (i < nodeUnknowns) {
+        delta = std::clamp(delta, -kMaxStepVoltage, kMaxStepVoltage);
+        maxUpdate = std::max(maxUpdate, std::fabs(delta));
+      }
+      result.x[i] += delta;
+    }
+    result.iterations = iter + 1;
+    result.maxUpdate = maxUpdate;
+    double tolerance = kAbsTol;
+    for (std::size_t i = 0; i < nodeUnknowns; ++i) {
+      tolerance = std::max(tolerance, kAbsTol + kRelTol * std::fabs(result.x[i]));
+    }
+    if (maxUpdate < tolerance) {
+      result.converged = true;
+      return result;
+    }
+  }
+  return result;
 }
 
-NewtonOptions sparseForced() {
-  NewtonOptions opt;
-  opt.sparseMinUnknowns = 0;
-  return opt;
-}
-
-/// Solve the circuit built by \p build twice (fresh circuit each time, since
-/// nonlinear elements keep state) and compare the full solution vectors.
-template <typename BuildFn>
-void expectDcEquivalence(BuildFn build, double tol = 1e-9) {
-  Circuit dense;
-  build(dense);
-  const SolveResult refResult = solveDc(dense, denseForced());
-  ASSERT_TRUE(refResult.converged);
-
-  Circuit sparse;
-  build(sparse);
-  const SolveResult sparseResult = solveDc(sparse, sparseForced());
-  ASSERT_TRUE(sparseResult.converged);
-
-  ASSERT_EQ(refResult.x.size(), sparseResult.x.size());
-  for (std::size_t i = 0; i < refResult.x.size(); ++i) {
-    EXPECT_NEAR(sparseResult.x[i], refResult.x[i],
-                tol * std::max(1.0, std::fabs(refResult.x[i])))
+void expectSameSolution(const SolveResult& ref, const SolveResult& got, double tol) {
+  ASSERT_TRUE(ref.converged);
+  ASSERT_TRUE(got.converged);
+  ASSERT_EQ(ref.x.size(), got.x.size());
+  for (std::size_t i = 0; i < ref.x.size(); ++i) {
+    EXPECT_NEAR(got.x[i], ref.x[i], tol * std::max(1.0, std::fabs(ref.x[i])))
         << "unknown " << i;
   }
+}
+
+/// Solve the circuit built by \p build with the engine and with the dense
+/// reference (fresh circuit each time, since nonlinear elements keep state)
+/// and compare the full solution vectors.
+template <typename BuildFn>
+void expectDcEquivalence(BuildFn build, double tol = 1e-9) {
+  Circuit reference;
+  build(reference);
+  const SolveResult refResult = denseFullNewton(reference);
+
+  Circuit engine;
+  build(engine);
+  expectSameSolution(refResult, solveDc(engine), tol);
 }
 
 TEST(SparseStamping, ResistorDividerMatchesDense) {
@@ -82,8 +128,8 @@ TEST(SparseStamping, StackedSourcesAndCurrentSourceMatchDense) {
 }
 
 TEST(SparseStamping, NonlinearDiodeNetworkMatchesDense) {
-  // Forward and reverse diodes in one netlist: the sparse path must track
-  // the dense Newton iteration through the exponential.
+  // Forward and reverse diodes in one netlist: chord-Newton on the sparse LU
+  // must land where dense full Newton does through the exponential.
   expectDcEquivalence([](Circuit& ckt) {
     const NodeId in = ckt.node("in");
     const NodeId d = ckt.node("d");
@@ -115,7 +161,7 @@ TEST(SparseStamping, DistributedCrossbarDcMatchesDense) {
   cfg.rows = 4;
   cfg.cols = 4;
 
-  const auto solveWith = [&](const NewtonOptions& newton) {
+  const auto solveWith = [&](SolveResult (*solve)(Circuit&)) {
     CrossbarArray array(cfg);
     array.fill(CellState::Hrs);
     array.setState(1, 2, CellState::Lrs);
@@ -124,84 +170,10 @@ TEST(SparseStamping, DistributedCrossbarDcMatchesDense) {
     SpiceCrossbar spice(array, AlphaTable::analytic(50e-9), opt);
     spice.programDrivers(selectBias(BiasScheme::Half, cfg.rows, cfg.cols, 1, 2, 1.05),
                          {});
-    return solveDc(spice.circuit(), newton);
+    return solve(spice.circuit());
   };
 
-  const SolveResult ref = solveWith(denseForced());
-  const SolveResult sparse = solveWith(sparseForced());
-  ASSERT_TRUE(ref.converged);
-  ASSERT_TRUE(sparse.converged);
-  ASSERT_EQ(ref.x.size(), sparse.x.size());
-  for (std::size_t i = 0; i < ref.x.size(); ++i) {
-    EXPECT_NEAR(sparse.x[i], ref.x[i], 1e-8 * std::max(1.0, std::fabs(ref.x[i])))
-        << "unknown " << i;
-  }
-}
-
-TEST(SparseStamping, CrossbarTransientHammerMatchesDense) {
-  // Full transient through the sparse path: same pulse train, same victim
-  // drift as the dense seed run within solver tolerance.
-  using namespace nh::xbar;
-  ArrayConfig cfg;
-  cfg.rows = 3;
-  cfg.cols = 3;
-
-  const auto runWith = [&](const NewtonOptions& newton, double& victim) {
-    CrossbarArray array(cfg);
-    array.fill(CellState::Hrs);
-    array.setState(1, 1, CellState::Lrs);
-    SpiceEngineOptions opt;
-    opt.traceCells = false;
-    opt.newton = newton;
-    SpiceCrossbar spice(array, AlphaTable::analytic(10e-9), opt);
-    spice.programHammer(1, 1, 1.05, 50e-9, 100e-9, 3);
-    const auto result = spice.run(300e-9);
-    victim = array.cell(1, 0).normalisedState();
-    return result.completed;
-  };
-
-  double victimDense = 0.0, victimSparse = 0.0;
-  ASSERT_TRUE(runWith(denseForced(), victimDense));
-  ASSERT_TRUE(runWith(sparseForced(), victimSparse));
-  EXPECT_GT(victimDense, 0.0);
-  EXPECT_NEAR(victimSparse, victimDense,
-              1e-6 * std::max(1.0, std::fabs(victimDense)) + 1e-12);
-}
-
-TEST(SparseStamping, ChordNewtonSemanticsSurviveTheSparsePath) {
-  // reuseFactorization + chord thresholds compose with the sparse target:
-  // forcing chord-Newton (reuseMinUnknowns = 0) on the sparse LU must land
-  // on the same operating point as classic full Newton on the dense one.
-  Circuit chordCkt;
-  const auto build = [](Circuit& ckt) {
-    const NodeId in = ckt.node("in");
-    NodeId prev = in;
-    ckt.emplace<VoltageSource>("V1", in, ckt.ground(), 3.0);
-    for (int k = 0; k < 4; ++k) {
-      const NodeId next = ckt.node("n" + std::to_string(k));
-      ckt.emplace<Resistor>("R" + std::to_string(k), prev, next, 500.0);
-      ckt.emplace<Diode>("D" + std::to_string(k), next, ckt.ground());
-      prev = next;
-    }
-  };
-  build(chordCkt);
-  NewtonOptions chordSparse = sparseForced();
-  chordSparse.reuseMinUnknowns = 0;
-  chordSparse.reuseFactorization = true;
-  const SolveResult chord = solveDc(chordCkt, chordSparse);
-  ASSERT_TRUE(chord.converged);
-
-  Circuit refCkt;
-  build(refCkt);
-  NewtonOptions fullDense = denseForced();
-  fullDense.reuseFactorization = false;
-  const SolveResult ref = solveDc(refCkt, fullDense);
-  ASSERT_TRUE(ref.converged);
-
-  ASSERT_EQ(chord.x.size(), ref.x.size());
-  for (std::size_t i = 0; i < ref.x.size(); ++i) {
-    EXPECT_NEAR(chord.x[i], ref.x[i], 1e-6 * std::max(1.0, std::fabs(ref.x[i])));
-  }
+  expectSameSolution(solveWith(denseFullNewton), solveWith(solveDc), 1e-8);
 }
 
 }  // namespace

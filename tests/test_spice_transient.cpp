@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "spice/analysis.hpp"
 #include "spice/elements.hpp"
+#include "util/cancellation.hpp"
+#include "util/sparse.hpp"
 
 namespace nh::spice {
 namespace {
@@ -177,17 +180,18 @@ TEST(MemristorStamp, MakesOneCombinedCallPerStamp) {
   CountingMemristor model;
   const Memristor element("M1", a, ckt.ground(), &model);
 
-  nh::util::Matrix jacobian(1, 1, 0.0);
+  nh::util::TripletBuilder triplets(1, 1);
   nh::util::Vector rhs(1, 0.0);
   const nh::util::Vector x{0.4};
   const nh::util::Vector xPrev{0.0};
-  StampContext ctx{&jacobian, nullptr, rhs, x, xPrev};
+  StampContext ctx{triplets, rhs, x, xPrev};
   element.stamp(ctx);
   EXPECT_EQ(model.operatingPointCalls, 1);
   EXPECT_EQ(model.currentCalls, 0);
   EXPECT_EQ(model.conductanceCalls, 0);
   // Linear device: the companion current source cancels exactly.
-  EXPECT_DOUBLE_EQ(jacobian(0, 0), CountingMemristor::kG);
+  EXPECT_DOUBLE_EQ(nh::util::SparseMatrix::fromTriplets(triplets).at(0, 0),
+                   CountingMemristor::kG);
   EXPECT_DOUBLE_EQ(rhs[0], 0.0);
 
   // A whole DC solve: one combined call per Newton iteration.
@@ -205,11 +209,46 @@ TEST(MemristorStamp, MakesOneCombinedCallPerStamp) {
   EXPECT_EQ(solved.conductanceCalls, 0);
 }
 
-TEST(Transient, RejectsNonPositiveStopTime) {
-  Circuit ckt;
-  TransientOptions opt;
-  opt.tStop = 0.0;
-  EXPECT_THROW(runTransient(ckt, opt), std::invalid_argument);
+TEST(Transient, RejectsInvalidTimeBounds) {
+  // A zero or negative step never advances time, so a missing check spins
+  // forever; the deadline turns that into a failure (CancelledError instead
+  // of invalid_argument) rather than a hang.
+  struct BadCase {
+    const char* label;
+    double tStop, dtInitial, dtMax, dtMin;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const BadCase cases[] = {
+      {"tStop = 0", 0.0, 1e-10, 1e-9, 1e-15},
+      {"tStop < 0", -1e-9, 1e-10, 1e-9, 1e-15},
+      {"tStop = inf", inf, 1e-10, 1e-9, 1e-15},
+      {"tStop = NaN", nan, 1e-10, 1e-9, 1e-15},
+      {"dtInitial = 0", 1e-8, 0.0, 1e-9, 1e-15},
+      {"dtInitial < 0", 1e-8, -1e-10, 1e-9, 1e-15},
+      {"dtInitial = NaN", 1e-8, nan, 1e-9, 1e-15},
+      {"dtMax = 0", 1e-8, 1e-10, 0.0, 1e-15},
+      {"dtMax < 0", 1e-8, 1e-10, -1e-9, 1e-15},
+      {"dtMax = inf", 1e-8, 1e-10, inf, 1e-15},
+      {"dtMin = 0", 1e-8, 1e-10, 1e-9, 0.0},
+      {"dtMin < 0", 1e-8, 1e-10, 1e-9, -1e-15},
+      {"dtMin > dtMax", 1e-8, 1e-10, 1e-9, 1e-8},
+  };
+  for (const BadCase& c : cases) {
+    SCOPED_TRACE(c.label);
+    Circuit ckt;
+    const NodeId in = ckt.node("in");
+    ckt.emplace<VoltageSource>("V1", in, ckt.ground(), 1.0);
+    ckt.emplace<Resistor>("R1", in, ckt.ground(), 1000.0);
+    TransientOptions opt;
+    opt.tStop = c.tStop;
+    opt.dtInitial = c.dtInitial;
+    opt.dtMax = c.dtMax;
+    opt.dtMin = c.dtMin;
+    const auto source = nh::util::CancellationSource::withDeadline(2.0);
+    const nh::util::CancellationScope scope(source.token());
+    EXPECT_THROW(runTransient(ckt, opt), std::invalid_argument);
+  }
 }
 
 TEST(Transient, StepHookFires) {
