@@ -1,6 +1,7 @@
 #include "core/attack.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/cancellation.hpp"
@@ -14,8 +15,9 @@ AttackResult AttackEngine::run(const AttackConfig& config) {
   if (config.aggressors.empty()) {
     throw std::invalid_argument("AttackEngine: no aggressors");
   }
-  if (!(config.pulse.width > 0.0) || !(config.pulse.dutyCycle > 0.0) ||
-      config.pulse.dutyCycle > 1.0) {
+  if (!(config.pulse.width > 0.0) || !std::isfinite(config.pulse.width) ||
+      !std::isfinite(config.pulse.amplitude) ||
+      !(config.pulse.dutyCycle > 0.0) || config.pulse.dutyCycle > 1.0) {
     throw std::invalid_argument("AttackEngine: invalid pulse");
   }
   // A zero chunk would rotate through the aggressors forever without

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/detector.hpp"
-#include "xbar/controller.hpp"
 #include "xbar/fastsim.hpp"
 
 namespace nh::core {

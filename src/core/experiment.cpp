@@ -191,6 +191,15 @@ std::vector<ExperimentResult::Axis> resolveAxes(const ExperimentSpec& spec,
       throw std::invalid_argument("experiment '" + spec.name + "': axis '" +
                                   axis.name + "' has no values");
     }
+    // The CLI's number parser accepts "nan" and "inf"; stop them here
+    // rather than as a solver failure deep inside some point.
+    for (const double v : axis.values) {
+      if (!std::isfinite(v)) {
+        throw std::invalid_argument("experiment '" + spec.name + "': axis '" +
+                                    axis.name + "' has a non-finite value (" +
+                                    nh::util::formatDouble(v) + ")");
+      }
+    }
   }
   return axes;
 }
@@ -229,9 +238,9 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
 
 /// Hash every field that participates in StudyConfig::operator== -- the
 /// digest must distinguish any two configs the study-dedup cache would
-/// (toConfigText only serialises the INI-supported subset, which would make
-/// configs differing in e.g. femOptions or engine options collide). Keep
-/// this list in sync when StudyConfig or its nested structs grow fields.
+/// (hashing only a subset would make configs differing in e.g. femOptions
+/// or engine options collide). Keep this list in sync when StudyConfig or
+/// its nested structs grow fields.
 std::uint64_t hashStudyConfig(std::uint64_t h, const StudyConfig& c) {
   const jart::Params& p = c.cellParams;
   const fem::DiffusionOptions& f = c.femOptions;

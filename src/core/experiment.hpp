@@ -386,8 +386,8 @@ void setStudyCacheCapacity(std::size_t capacity);
 /// ---- result sink ---------------------------------------------------------
 
 /// Where experiment series land by default: NH_RESULTS_DIR when set,
-/// ./bench_results otherwise. Single home for the convention the benches
-/// and the nh_sweep CLI share.
+/// ./bench_results otherwise. Single home for the convention the nh_sweep
+/// CLI and the tests share.
 std::filesystem::path defaultResultsDir();
 
 /// Where checkpoints land by default: defaultResultsDir()/checkpoints.

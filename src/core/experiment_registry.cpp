@@ -11,7 +11,10 @@
 
 #include "core/campaign.hpp"
 #include "core/defense.hpp"
+#include "core/scenario.hpp"
 #include "fem/alpha.hpp"
+#include "fem/transient.hpp"
+#include "jart/ivsweep.hpp"
 #include "jart/kinetics.hpp"
 #include "util/annotations.hpp"
 #include "util/csv.hpp"
@@ -46,6 +49,14 @@ Formatter siScaled(double scale, std::string unit, int decimals = 0) {
   return [scale, unit = std::move(unit), decimals](const ResultValue& v) {
     if (v.kind == ResultValue::Kind::Text) return v.text;
     return AsciiTable::si(v.number * scale, unit, decimals);
+  };
+}
+
+/// Scientific notation with \p digits after the point ("1.93e+06").
+Formatter scientific(int digits) {
+  return [digits](const ResultValue& v) {
+    if (v.kind == ResultValue::Kind::Text) return v.text;
+    return AsciiTable::scientific(v.number, digits);
   };
 }
 
@@ -1350,6 +1361,27 @@ ExperimentSpec fig1TraceSpec() {
   return spec;
 }
 
+/// The paper's Eq. 3/4 extraction on the 5x5 crossbar: power sweep
+/// 0.05/0.10/0.15 mW into the centre cell at 300 K, one linear regression
+/// per cell. Shared by fig2a and alpha_extraction so both report the same
+/// procedure.
+fem::AlphaResult extractCentreAlpha(const fem::CrossbarLayout& layout) {
+  const auto model = fem::CrossbarModel3D::build(layout);
+  return fem::extractAlpha(model, fem::MaterialTable::defaults(),
+                           layout.rows / 2, layout.cols / 2,
+                           {0.05e-3, 0.10e-3, 0.15e-3}, 300.0);
+}
+
+/// Row-major matrix cell from a dense matrix.
+ResultValue matrixCell(const nh::util::Matrix& m) {
+  std::vector<double> values;
+  values.reserve(m.rows() * m.cols());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) values.push_back(m(r, c));
+  }
+  return ResultValue::matrix(m.rows(), m.cols(), std::move(values));
+}
+
 ExperimentSpec fig2aMatrixSpec() {
   ExperimentSpec spec;
   spec.name = "fig2a_thermal_matrix";
@@ -1366,46 +1398,28 @@ ExperimentSpec fig2aMatrixSpec() {
   // The 5 nm voxel is required to resolve the 5 nm filament and the solve
   // takes only a few seconds, so fast mode runs the full extraction.
   spec.axes = {{"target_K", {947.2}, {}, {}}};
-  const Formatter sci3 = [](const ResultValue& v) {
-    if (v.kind == ResultValue::Kind::Text) return v.text;
-    return AsciiTable::scientific(v.number, 3);
-  };
   spec.columns = {
       {"target_K", "T_centre target", colfmt::fixed(1, " K")},
-      {"rth_K_per_W", "R_th [K/W]", sci3, Shape::Scalar, Tol{5e-3, 0.0, false}},
+      {"rth_K_per_W", "R_th [K/W]", scientific(3), Shape::Scalar,
+       Tol{5e-3, 0.0, false}},
       {"rth_r_squared", "R^2", colfmt::fixed(6), Shape::Scalar,
        Tol{1e-3, 1e-6, false}},
-      {"power_W", "power [W]", sci3, Shape::Scalar, Tol{5e-3, 0.0, false}},
+      {"power_W", "power [W]", scientific(3), Shape::Scalar,
+       Tol{5e-3, 0.0, false}},
       {"temperature_K", "temperature [K]", colfmt::fixed(1), Shape::Matrix,
        kTempTol},
       {"alpha", "alpha (Eq. 4)", colfmt::fixed(4), Shape::Matrix, kFracTol},
   };
   spec.run = [](const PointContext& ctx) {
-    fem::CrossbarLayout layout;
-    const auto model = fem::CrossbarModel3D::build(layout);
-    const auto extraction =
-        fem::extractAlpha(model, fem::MaterialTable::defaults(), 2, 2,
-                          {0.05e-3, 0.10e-3, 0.15e-3}, 300.0);
+    const auto extraction = extractCentreAlpha(fem::CrossbarLayout{});
     const double power = (ctx.value("target_K") - 300.0) / extraction.rTh;
-    const auto temps = extraction.predictTemperatures(power);
-    std::vector<double> tempValues;
-    std::vector<double> alphaValues;
-    tempValues.reserve(temps.rows() * temps.cols());
-    alphaValues.reserve(temps.rows() * temps.cols());
-    for (std::size_t r = 0; r < temps.rows(); ++r) {
-      for (std::size_t c = 0; c < temps.cols(); ++c) {
-        tempValues.push_back(temps(r, c));
-        alphaValues.push_back(extraction.alpha(r, c));
-      }
-    }
     return std::vector<ResultValue>{
         ResultValue::num(ctx.value("target_K")),
         ResultValue::num(extraction.rTh),
         ResultValue::num(extraction.rThRSquared),
         ResultValue::num(power),
-        ResultValue::matrix(temps.rows(), temps.cols(), std::move(tempValues)),
-        ResultValue::matrix(temps.rows(), temps.cols(),
-                            std::move(alphaValues))};
+        matrixCell(extraction.predictTemperatures(power)),
+        matrixCell(extraction.alpha)};
   };
   spec.notes = {
       "paper (row containing the hammered cell): 394.4  373.0  947.2  "
@@ -1432,12 +1446,7 @@ ExperimentSpec kineticsLandscapeSpec() {
   spec.columns = {
       {"temperature_K", "T0", colfmt::fixed(0, " K")},
       {"voltage_V", "V", colfmt::fixed(3, " V")},
-      {"t_set_s", "t_SET [s]",
-       [](const ResultValue& v) {
-         if (v.kind == ResultValue::Kind::Text) return v.text;
-         return AsciiTable::scientific(v.number, 2);
-       },
-       Shape::Scalar, kKineticsTol},
+      {"t_set_s", "t_SET [s]", scientific(2), Shape::Scalar, kKineticsTol},
       {"switched", "switched", colfmt::yesNo()},
   };
   spec.run = [](const PointContext& ctx) {
@@ -1472,6 +1481,234 @@ ExperimentSpec kineticsLandscapeSpec() {
   return spec;
 }
 
+// ---- validation artefacts and the Sec. VI scenarios ------------------------
+// The checks behind the simulation flow (the FEM alpha extraction, the
+// compact model's I-V loop, the thermal step response behind tauThermal)
+// and the paper's two attack narratives, each under a tracked baseline.
+
+ExperimentSpec alphaExtractionSpec() {
+  ExperimentSpec spec;
+  spec.name = "alpha_extraction";
+  spec.title = "alpha extraction -- R_th and thermal-coupling coefficients";
+  spec.description =
+      "FEM 5x5 crossbar, power sweep 0.05/0.10/0.15 mW into the centre "
+      "cell, linear regression per cell (Eq. 3/4)";
+  spec.paperShape =
+      "alphas grow as spacing shrinks; word-line neighbours couple ~2x "
+      "stronger than bit-line neighbours; R_th nearly spacing-independent";
+  spec.tableTitle = "FEM-extracted crosstalk coefficients (5x5 crossbar)";
+  spec.buildStudies = false;  // runs the FEM extraction itself
+  // The three spacings are the calibration points of AlphaTable::analytic,
+  // so fast mode keeps all of them (a few seconds each).
+  spec.axes = {{"spacing_nm", {10.0, 50.0, 90.0}, {}, {}}};
+  spec.columns = {
+      {"spacing_nm", "spacing", colfmt::fixed(0, " nm")},
+      {"rth_K_per_W", "R_th [K/W]", scientific(3), Shape::Scalar,
+       Tol{5e-3, 0.0, false}},
+      {"rth_r_squared", "R^2", colfmt::fixed(6), Shape::Scalar,
+       Tol{1e-3, 1e-6, false}},
+      {"alpha", "alpha (Eq. 4)", colfmt::fixed(4), Shape::Matrix, kFracTol},
+      {"alpha_sum", "sum(alpha)", colfmt::fixed(3), Shape::Scalar, kFracTol},
+  };
+  spec.run = [](const PointContext& ctx) {
+    const double spacingNm = ctx.value("spacing_nm");
+    fem::CrossbarLayout layout;  // validated by the model build
+    layout.spacing = spacingNm * 1e-9;
+    const auto r = extractCentreAlpha(layout);
+    double total = 0.0;
+    for (std::size_t i = 0; i < r.alpha.rows(); ++i) {
+      for (std::size_t j = 0; j < r.alpha.cols(); ++j) {
+        if (i != r.selectedRow || j != r.selectedCol) total += r.alpha(i, j);
+      }
+    }
+    return std::vector<ResultValue>{
+        ResultValue::num(spacingNm), ResultValue::num(r.rTh),
+        ResultValue::num(r.rThRSquared), matrixCell(r.alpha),
+        ResultValue::num(total)};
+  };
+  spec.notes = {
+      "alpha(r,c) of the 5x5 grid, hammered cell at (2,2): rows run along a",
+      "bit line, columns along a word line (the filament sits on the bottom",
+      "word line, hence the asymmetry). AlphaTable::analytic's constants",
+      "are these values; a test ties the two together."};
+  return spec;
+}
+
+ExperimentSpec deviceIvHysteresisSpec() {
+  ExperimentSpec spec;
+  spec.name = "device_iv_hysteresis";
+  spec.title = "device I-V hysteresis (JART-style compact model)";
+  spec.description =
+      "triangular sweep 0 -> +1.3 V -> -1.5 V -> 0 at 10 V/us, one cell "
+      "from deep HRS";
+  spec.paperShape =
+      "abrupt SET near ~1 V on the up-branch, gradual RESET on the "
+      "negative branch, >10x read-current hysteresis at +0.2 V";
+  spec.tableTitle = "I-V loop metrics and traces";
+  spec.buildStudies = false;  // single-device sweep, no crossbar
+  spec.axes = {{"samples", {400.0}, {120.0}, {}}};
+  spec.columns = {
+      {"samples", "samples", colfmt::grouped()},
+      {"v_set_V", "V_SET", colfmt::fixed(2, " V"), Shape::Scalar, kFracTol},
+      {"v_reset_V", "V_RESET", colfmt::fixed(2, " V"), Shape::Scalar,
+       kFracTol},
+      {"hysteresis", "I ratio @ +0.2 V", colfmt::fixed(1, "x"), Shape::Scalar,
+       kRatioTol},
+      {"set_ok", "SET", colfmt::yesNo()},
+      {"reset_ok", "RESET", colfmt::yesNo()},
+      {"voltage_V", "V [V]", colfmt::fixed(3), Shape::Trace, kFracTol},
+      {"current_A", "I [A]", scientific(2), Shape::Trace,
+       Tol{0.02, 1e-12, false}},
+  };
+  spec.run = [](const PointContext& ctx) {
+    const jart::Params params = jart::Params::paperDefaults();
+    jart::IvSweepOptions options;
+    options.samples = integerAxis(ctx, "samples", 2, 1'000'000);
+    const auto loop = jart::sweepIV(params, options);
+    const auto metrics = jart::analyseLoop(params, loop);
+    std::vector<double> voltage;
+    std::vector<double> current;
+    voltage.reserve(loop.size());
+    current.reserve(loop.size());
+    for (const auto& p : loop) {
+      voltage.push_back(p.voltage);
+      current.push_back(p.current);
+    }
+    return std::vector<ResultValue>{
+        ResultValue::num(static_cast<double>(options.samples)),
+        ResultValue::num(metrics.vSet),
+        ResultValue::num(metrics.vReset),
+        ResultValue::num(metrics.hysteresis),
+        ResultValue::boolean(metrics.switchedToLrs),
+        ResultValue::boolean(metrics.switchedBack),
+        ResultValue::trace(std::move(voltage)),
+        ResultValue::trace(std::move(current))};
+  };
+  spec.notes = {
+      "not a paper figure: the standard fingerprint a ReRAM compact model is",
+      "judged by, and the V_SET ~ 1.05 V operating point the attack uses."};
+  return spec;
+}
+
+ExperimentSpec femThermalTransientSpec() {
+  ExperimentSpec spec;
+  spec.name = "fem_thermal_transient";
+  spec.title = "validation -- transient FEM thermal step response";
+  spec.description =
+      "c dT/dt = div(kappa grad T) + q, implicit Euler at dt = 0.25 ns, 5x5 "
+      "crossbar at 50 nm, 0.1 mW step into the centre filament";
+  spec.paperShape =
+      "filament tau ~ ns, neighbour crosstalk settles within a few ns -- "
+      "both well below the 10-100 ns pulse lengths";
+  spec.tableTitle = "step-response time constants (63% of the steady rise)";
+  spec.buildStudies = false;  // runs the transient FEM itself
+  spec.axes = {{"t_stop_ns", {30.0}, {10.0}, {}}};
+  spec.columns = {{"t_stop_ns", "stop", siScaled(1e-9, "s")}};
+  static constexpr const char* kCells[] = {"heated", "word", "bit", "diag"};
+  for (const char* cell : kCells) {
+    const std::string name(cell);
+    spec.columns.push_back({name + "_final_K", name + " final T",
+                            colfmt::fixed(1, " K"), Shape::Scalar, kTempTol});
+    spec.columns.push_back({name + "_tau_ns", name + " tau",
+                            siScaled(1e-9, "s", 2), Shape::Scalar,
+                            Tol{0.02, 0.01, false}});
+  }
+  for (const char* cell : kCells) {
+    spec.columns.push_back({std::string(cell) + "_K",
+                            std::string(cell) + " T [K]", colfmt::fixed(1),
+                            Shape::Trace, kTempTol});
+  }
+  spec.run = [](const PointContext& ctx) {
+    const double tStopNs = ctx.value("t_stop_ns");
+    const fem::CrossbarLayout layout;  // 5x5 / 50 nm defaults
+    const auto model = fem::CrossbarModel3D::build(layout);
+    fem::TransientScenario scenario;
+    scenario.model = &model;
+    scenario.tStop = tStopNs * 1e-9;
+    scenario.dt = 0.25e-9;
+    const auto sol = fem::solveThermalStep(scenario);
+    if (!sol.converged) {
+      throw std::runtime_error(
+          "experiment 'fem_thermal_transient': transient solve did not "
+          "converge");
+    }
+    std::vector<ResultValue> row{ResultValue::num(tStopNs)};
+    for (std::size_t s = 0; s < 4; ++s) {
+      const double tau = sol.riseTimeConstant(s);
+      row.push_back(ResultValue::num(sol.cellTemperature[s].back()));
+      // NaN = the run stopped before the 63% mark.
+      row.push_back(std::isnan(tau) ? ResultValue::str("-")
+                                    : ResultValue::num(tau * 1e9));
+    }
+    for (std::size_t s = 0; s < 4; ++s) {
+      row.push_back(ResultValue::trace(sol.cellTemperature[s]));
+    }
+    return row;
+  };
+  spec.notes = {
+      "tau = time to 63% of the rise toward the steady state of the same",
+      "model and power ('-': the run stops before that mark). The compact",
+      "model's tauThermal (2 ns) and the fast engine's short first substep",
+      "hold when these taus << pulse length; see ablation_thermal_tau."};
+  return spec;
+}
+
+ExperimentSpec sec6ScenariosSpec() {
+  ExperimentSpec spec;
+  spec.name = "sec6_attack_scenarios";
+  spec.title = "Sec. VI -- privilege escalation and neuromorphic weight attack";
+  spec.description =
+      "5x5 crossbar at 50 nm / 300 K, 1.05 V / 50 ns hammer pulses: a "
+      "page-table permission bit next to an attacker cell, and a ternary "
+      "classifier's weight cell";
+  spec.paperShape =
+      "both attacks succeed without addressing the victim: the permission "
+      "bit flips with no collateral flips, and one flipped weight costs "
+      "classification accuracy";
+  spec.tableTitle = "Sec. VI attack scenarios";
+  spec.buildStudies = false;  // each scenario builds its own bench
+  spec.maxPulses = 1'000'000;
+  spec.axes = {{"scenario", {0.0, 1.0}, {}, {}}};
+  spec.columns = {
+      {"scenario", "scenario", {}},
+      {"pulses", "# pulses", colfmt::grouped(), Shape::Scalar, kCountTol},
+      {"succeeded", "succeeded", colfmt::yesNo()},
+      {"collateral_flips", "collateral flips", {}},
+      {"accuracy_before", "accuracy before", percent(1), Shape::Scalar,
+       kFracTol},
+      {"accuracy_after", "accuracy after", percent(1), Shape::Scalar,
+       kFracTol},
+  };
+  spec.run = [](const PointContext& ctx) {
+    const HammerPulse pulse;  // 1.05 V / 50 ns / 50% duty
+    if (caseIndex(ctx, "scenario", 2) == 0) {
+      PrivilegeEscalationScenario scenario(ctx.config);
+      const auto r = scenario.run(pulse, ctx.maxPulses);
+      return std::vector<ResultValue>{
+          ResultValue::str("privilege_escalation"),
+          ResultValue::num(static_cast<double>(r.pulses)),
+          ResultValue::boolean(r.succeeded),
+          ResultValue::num(static_cast<double>(r.collateralFlips)),
+          ResultValue::str("-"), ResultValue::str("-")};
+    }
+    WeightAttackScenario scenario(ctx.config, /*seed=*/42);
+    const auto r = scenario.run(pulse, ctx.maxPulses);
+    return std::vector<ResultValue>{
+        ResultValue::str("weight_attack"),
+        ResultValue::num(static_cast<double>(r.pulses)),
+        ResultValue::boolean(r.weightFlipped),
+        ResultValue::str("-"),
+        ResultValue::num(r.accuracyBefore),
+        ResultValue::num(r.accuracyAfter)};
+  };
+  spec.notes = {
+      "privilege_escalation: the attacker writes only its own cell on the",
+      "permission bit's word line (Seaborn-style PTE attack, Sec. VI).",
+      "weight_attack: 2-class ternary classifier on differential column",
+      "pairs, 200 held-out samples, analog VMM readout."};
+  return spec;
+}
+
 // ---- registry plumbing ----------------------------------------------------
 
 struct Entry {
@@ -1487,7 +1724,7 @@ struct Registry {
 
   Registry() {
     // Names are passed explicitly (they are compile-time constants in each
-    // factory) so registration does not build and discard 17 full specs.
+    // factory) so registration does not build and discard 25 full specs.
     auto add = [this](std::string name, std::string summary,
                       std::function<ExperimentSpec()> factory) {
       entries.emplace(std::move(name),
@@ -1550,6 +1787,18 @@ struct Registry {
     add("kinetics_landscape",
         "Sec. III: switching-time landscape t_SET(V, T) (pivoted table)",
         kineticsLandscapeSpec);
+    add("alpha_extraction",
+        "validation: FEM R_th and alpha matrix at 10/50/90 nm (Eq. 3/4)",
+        alphaExtractionSpec);
+    add("device_iv_hysteresis",
+        "validation: compact-model I-V hysteresis loop",
+        deviceIvHysteresisSpec);
+    add("fem_thermal_transient",
+        "validation: FEM thermal step response behind tauThermal",
+        femThermalTransientSpec);
+    add("sec6_attack_scenarios",
+        "Sec. VI: privilege escalation and neuromorphic weight attack",
+        sec6ScenariosSpec);
   }
 };
 

@@ -1,9 +1,9 @@
 #pragma once
 /// \file experiment_registry.hpp
 /// Name -> ExperimentSpec catalog of the paper's evaluation. Every figure
-/// reproduction, ablation, and extension study registers here once; the
-/// bench/ drivers, the nh_sweep CLI, and the test suite all run experiments
-/// through this registry, so adding a new scenario is a ~30-line
+/// reproduction, validation artefact, attack scenario, ablation, and
+/// extension study registers here once; the nh_sweep CLI and the test suite
+/// run experiments through this registry, so adding a new scenario is a ~30-line
 /// registration instead of a new binary (see registerExperiment and the
 /// built-in factories in experiment_registry.cpp for the template).
 

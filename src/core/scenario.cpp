@@ -263,9 +263,6 @@ WeightAttackReport WeightAttackScenario::run(const HammerPulse& pulse,
   report.weightFlipped = flipped;
   report.pulses = flipped ? pulsesToFlip : train.pulsesApplied;
   report.flippedWeightCell = victim;
-  report.flippedWeightDescription =
-      "class-1 weight " + std::to_string(targetRow) +
-      (targetRow == 4 ? " (bias)" : " (feature " + std::to_string(targetRow) + ")");
   report.accuracyAfter = analogAccuracy(array);
   return report;
 }

@@ -10,7 +10,6 @@
 ///    flipping a weight cell, degrading accuracy.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/study.hpp"
@@ -53,8 +52,7 @@ struct WeightAttackReport {
   double digitalAccuracy = 0.0;    ///< Float-weight reference accuracy.
   bool weightFlipped = false;
   std::size_t pulses = 0;
-  xbar::CellCoord flippedWeightCell{};
-  std::string flippedWeightDescription;
+  xbar::CellCoord flippedWeightCell{};  ///< Column 3 = class 1's negative half.
 };
 
 /// A ternary-weight linear classifier (2 classes, 4 features + bias) mapped
@@ -68,13 +66,6 @@ class WeightAttackScenario {
 
   /// Number of samples in the held-out evaluation set.
   std::size_t testSetSize() const { return testX_.size(); }
-  /// Trained weights (introspection for tests/examples).
-  double floatWeight(int classIndex, int featureIndex) const {
-    return weights_[classIndex][featureIndex];
-  }
-  int ternaryWeight(int classIndex, int featureIndex) const {
-    return ternary_[classIndex][featureIndex];
-  }
 
  private:
   void generateData();

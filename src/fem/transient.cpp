@@ -31,13 +31,13 @@ double HeatCapacityTable::capacity(Material m) const {
 }
 
 double TransientSolution::riseTimeConstant(std::size_t index) const {
-  if (index >= cellTemperature.size() || time.empty()) {
+  if (index >= cellTemperature.size() || index >= steadyTemperature.size() ||
+      time.empty()) {
     return std::numeric_limits<double>::quiet_NaN();
   }
   const auto& series = cellTemperature[index];
   const double start = series.front();
-  const double final = series.back();
-  const double mark = start + (final - start) * 0.632;
+  const double mark = start + (steadyTemperature[index] - start) * 0.632;
   for (std::size_t i = 1; i < series.size(); ++i) {
     if ((series[i - 1] < mark && series[i] >= mark) ||
         (series[i - 1] > mark && series[i] <= mark)) {
@@ -59,6 +59,8 @@ struct ThermalTransientSolver::State {
   nh::util::SparseMatrix matrix;
   nh::util::Vector kappa, cOverDt, steadyRhs, source, temperature, rhs;
   nh::util::CgWorkspace cg;
+  DiffusionSolver steady;
+  DiffusionProblem steadyProblem;
 };
 
 ThermalTransientSolver::ThermalTransientSolver() : state_(std::make_unique<State>()) {}
@@ -180,14 +182,17 @@ TransientSolution ThermalTransientSolver::solve(const TransientScenario& scenari
   const std::size_t steps =
       static_cast<std::size_t>(std::ceil(scenario.tStop / scenario.dt));
   out.converged = true;
+  const auto filamentMean = [&](const std::vector<double>& field,
+                                std::size_t si) {
+    double acc = 0.0;
+    const auto& cell = model.cell(observed[si].first, observed[si].second);
+    for (const std::size_t v : cell.filamentVoxels) acc += field[v];
+    return acc / static_cast<double>(cell.filamentVoxels.size());
+  };
   const auto record = [&](double t) {
     out.time.push_back(t);
     for (std::size_t si = 0; si < observed.size(); ++si) {
-      double acc = 0.0;
-      const auto& cell = model.cell(observed[si].first, observed[si].second);
-      for (const std::size_t v : cell.filamentVoxels) acc += s.temperature[v];
-      out.cellTemperature[si].push_back(
-          acc / static_cast<double>(cell.filamentVoxels.size()));
+      out.cellTemperature[si].push_back(filamentMean(s.temperature, si));
     }
   };
   record(0.0);
@@ -209,6 +214,21 @@ TransientSolution ThermalTransientSolver::solve(const TransientScenario& scenari
       break;
     }
     record(static_cast<double>(step) * scenario.dt);
+  }
+
+  // Steady state of the same scenario (A T = q + Dirichlet bottom), warm-
+  // started from the last transient field: the reference the rise taus are
+  // measured against.
+  s.steadyProblem.grid = &grid;
+  s.steadyProblem.coefficient = s.kappa;
+  s.steadyProblem.sourcePerVoxel = s.source;
+  s.steadyProblem.bottomPlaneDirichlet = true;
+  s.steadyProblem.bottomPlaneValue = scenario.ambientK;
+  const DiffusionSolution steady =
+      s.steady.solve(s.steadyProblem, options, &s.temperature);
+  out.converged = out.converged && steady.converged();
+  for (std::size_t si = 0; si < observed.size(); ++si) {
+    out.steadyTemperature.push_back(filamentMean(steady.field, si));
   }
   return out;
 }

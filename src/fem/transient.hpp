@@ -50,16 +50,23 @@ struct TransientSolution {
   /// neighbour, [3] = diagonal neighbour (where they exist).
   std::vector<std::vector<double>> cellTemperature;
   std::vector<std::string> cellLabels;
+  /// Steady-state temperature of each observed cell [K]: one steady solve
+  /// of the same model, materials and power (the t -> infinity limit of
+  /// the march).
+  std::vector<double> steadyTemperature;
   bool converged = false;
 
-  /// Time to reach 63.2% of the final rise for series \p index [s];
-  /// NaN when the series never crosses.
+  /// Time for series \p index to cover 63.2% of its rise from the start
+  /// value to the steady state [s]. Measured against the steady state, not
+  /// the last sample, so it does not depend on tStop; NaN when the run
+  /// stops before the mark.
   double riseTimeConstant(std::size_t index) const;
 };
 
 /// Run the step response. Each implicit-Euler step solves the SPD system
 /// (C/dt + A) T_new = C/dt T_old + q with conjugate gradients, warm-started
-/// from the previous step.
+/// from the previous step; one steady solve A T = q of the same scenario
+/// then fills steadyTemperature.
 TransientSolution solveThermalStep(const TransientScenario& scenario,
                                    const DiffusionOptions& options = {});
 

@@ -1,7 +1,6 @@
 #include "util/stringutil.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <stdexcept>
 
 namespace nh::util {
@@ -55,10 +54,6 @@ std::string toLower(std::string_view s) {
   return out;
 }
 
-bool startsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 double parseDouble(std::string_view s, std::string_view context) {
   const std::string t = trim(s);
   try {
@@ -70,17 +65,6 @@ double parseDouble(std::string_view s, std::string_view context) {
     throw std::invalid_argument("parseDouble: cannot parse '" + t + "'" +
                                 (context.empty() ? "" : " (" + std::string(context) + ")"));
   }
-}
-
-long long parseInt(std::string_view s, std::string_view context) {
-  const std::string t = trim(s);
-  long long v = 0;
-  const auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
-  if (ec != std::errc() || ptr != t.data() + t.size()) {
-    throw std::invalid_argument("parseInt: cannot parse '" + t + "'" +
-                                (context.empty() ? "" : " (" + std::string(context) + ")"));
-  }
-  return v;
 }
 
 }  // namespace nh::util

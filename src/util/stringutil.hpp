@@ -1,6 +1,6 @@
 #pragma once
 /// \file stringutil.hpp
-/// Small string helpers shared by the config/CSV/stimuli parsers.
+/// Small string helpers shared by the CSV and netlist parsers and the CLI.
 
 #include <string>
 #include <string_view>
@@ -18,11 +18,7 @@ std::vector<std::string> splitWhitespace(std::string_view s);
 bool iequals(std::string_view a, std::string_view b);
 /// Lower-case copy (ASCII).
 std::string toLower(std::string_view s);
-/// True when \p s starts with \p prefix.
-bool startsWith(std::string_view s, std::string_view prefix);
 /// Parse a double, throwing std::invalid_argument with context on failure.
 double parseDouble(std::string_view s, std::string_view context = "");
-/// Parse a non-negative integer, throwing std::invalid_argument on failure.
-long long parseInt(std::string_view s, std::string_view context = "");
 
 }  // namespace nh::util

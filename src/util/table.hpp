@@ -24,7 +24,7 @@ class AsciiTable {
   /// Render to stdout.
   void print() const;
 
-  /// Format helpers used by the benches.
+  /// Format helpers used by the experiment tables.
   static std::string fixed(double v, int decimals);
   static std::string scientific(double v, int decimals);
   /// Engineering formatting with SI suffix (1.2e-9 s -> "1.2 ns").

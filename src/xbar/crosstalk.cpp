@@ -11,8 +11,9 @@ namespace nh::xbar {
 namespace {
 
 /// Canonical alpha tables extracted with nh::fem::extractAlpha from the
-/// default 5x5 CrossbarLayout (see tools in bench/alpha_extraction) at three
-/// electrode spacings. Offsets are (|dRow|, |dCol|); dRow = along a bit
+/// default 5x5 CrossbarLayout at three electrode spacings (the
+/// alpha_extraction experiment; a registry test checks these constants
+/// against its tracked baseline). Offsets are (|dRow|, |dCol|); dRow = along a bit
 /// line (cells share the top electrode), dCol = along a word line (cells
 /// share the bottom electrode the filament sits on, hence the stronger
 /// coupling). analytic() interpolates these log-linearly in spacing.

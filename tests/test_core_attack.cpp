@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/study.hpp"
 #include "util/cancellation.hpp"
 
@@ -88,6 +90,21 @@ TEST(AttackEngine, InputValidation) {
   cfg.aggressors = {{2, 2}};
   cfg.pulse.dutyCycle = 0.0;
   EXPECT_THROW(engine.run(cfg), std::invalid_argument);
+
+  // Non-finite pulse parameters are input errors, not solver failures.
+  cfg.pulse = HammerPulse{};
+  cfg.pulse.width = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(engine.run(cfg), std::invalid_argument);
+  cfg.pulse = HammerPulse{};
+  cfg.pulse.width = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(engine.run(cfg), std::invalid_argument);
+  cfg.pulse = HammerPulse{};
+  cfg.pulse.amplitude = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(engine.run(cfg), std::invalid_argument);
+  cfg.pulse = HammerPulse{};
+  cfg.pulse.amplitude = -std::numeric_limits<double>::infinity();
+  EXPECT_THROW(engine.run(cfg), std::invalid_argument);
+  cfg.pulse = HammerPulse{};
 
   cfg.pulse.dutyCycle = 0.5;
   cfg.aggressors = {{2, 1}, {2, 3}};

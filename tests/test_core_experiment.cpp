@@ -5,6 +5,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -116,6 +117,30 @@ TEST(ExperimentEngine, AxisOverrideReplacesValuesAndUnknownAxisThrows) {
   RunOptions empty;
   empty.axisOverrides["inner"] = {};
   EXPECT_THROW(runExperiment(echoSpec(), empty), std::invalid_argument);
+
+  // Non-finite values are input errors, raised before any point runs.
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    RunOptions nonFinite;
+    nonFinite.axisOverrides["inner"] = {10.0, v};
+    ExperimentSpec spec = echoSpec();
+    std::atomic<std::size_t> pointsRun{0};
+    spec.run = [&pointsRun](const PointContext&) {
+      ++pointsRun;
+      return std::vector<ResultValue>{ResultValue::num(0.0),
+                                      ResultValue::num(0.0),
+                                      ResultValue::num(0.0)};
+    };
+    try {
+      runExperiment(spec, nonFinite);
+      ADD_FAILURE() << "expected std::invalid_argument for " << v;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'inner'"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(pointsRun.load(), 0u);
+  }
 }
 
 /// The CLI surfaces this message verbatim: a mistyped --set axis must name

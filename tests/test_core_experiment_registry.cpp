@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -11,13 +12,14 @@
 
 #include "core/baseline.hpp"
 #include "util/json.hpp"
+#include "xbar/crosstalk.hpp"
 
 namespace nh::core {
 namespace {
 
 TEST(ExperimentRegistry, CatalogCoversThePaperEvaluation) {
   const auto entries = registeredExperiments();
-  EXPECT_GE(entries.size(), 17u);
+  EXPECT_GE(entries.size(), 25u);
 
   std::set<std::string> names;
   for (const auto& e : entries) {
@@ -34,7 +36,8 @@ TEST(ExperimentRegistry, CatalogCoversThePaperEvaluation) {
         "ablation_hammer_amplitude", "ablation_scheme_defense",
         "ablation_thermal_tau", "ablation_variability",
         "scaling_victim_distance", "attack_energy", "sneak_path_margin",
-        "endurance_half_select"}) {
+        "endurance_half_select", "alpha_extraction", "device_iv_hysteresis",
+        "fem_thermal_transient", "sec6_attack_scenarios"}) {
     EXPECT_TRUE(names.count(required)) << "missing experiment: " << required;
     EXPECT_TRUE(hasExperiment(required));
   }
@@ -128,12 +131,17 @@ TEST(ExperimentRegistry, EveryExperimentRunsInFastMode) {
   for (const auto& entry : registeredExperiments()) {
     SCOPED_TRACE(entry.name);
     const ExperimentSpec spec = makeExperiment(entry.name);
-    // The scaling sweep's fast grid tops out at 1024x1024 (its acceptance
-    // point, exercised by the CLI and `check --all --fast`); the unit-test
-    // smoke only needs the machinery, so shrink the axis here.
+    // Some fast grids are sized for `check --all --fast` (the scaling
+    // sweep tops out at 1024x1024, the FEM validations take seconds per
+    // point); the unit-test smoke only needs the machinery, so shrink those
+    // axes here.
     RunOptions pointOptions = options;
     if (entry.name == "scaling_array_size") {
       pointOptions.axisOverrides = {{"size", {8, 16}}};
+    } else if (entry.name == "alpha_extraction") {
+      pointOptions.axisOverrides = {{"spacing_nm", {10.0}}};
+    } else if (entry.name == "fem_thermal_transient") {
+      pointOptions.axisOverrides = {{"t_stop_ns", {1.0}}};
     }
     const ExperimentResult result = runExperiment(spec, pointOptions);
 
@@ -222,7 +230,64 @@ TEST(ExperimentRegistry, ConfigDigestsMatchTrackedBaselines) {
         << entry.name;
     ++pinned;
   }
-  EXPECT_GE(pinned, 21u);
+  EXPECT_GE(pinned, 25u);
+}
+
+/// AlphaTable::analytic's hard-coded constants are the FEM extraction at
+/// 10/50/90 nm, rounded for print. Read the tracked alpha_extraction
+/// baseline (no FEM solve here) and check R_th (3 significant digits) and
+/// every alpha of the quadrant (4 decimals, all four mirror images) against
+/// the constants within that rounding.
+TEST(ExperimentRegistry, AnalyticAlphaTableMatchesTrackedFemExtraction) {
+  const auto path = baselinePath(
+      "alpha_extraction", std::filesystem::path(NH_SOURCE_DIR) / "baselines");
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const auto doc = nh::util::JsonValue::parse(text.str());
+  const auto& columns = doc.at("columns").items();
+  const auto column = [&](const std::string& name) {
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      if (columns[i].asString() == name) return i;
+    }
+    ADD_FAILURE() << "baseline has no column " << name;
+    return std::size_t{0};
+  };
+  const std::size_t spacingCol = column("spacing_nm");
+  const std::size_t rthCol = column("rth_K_per_W");
+  const std::size_t alphaCol = column("alpha");
+
+  std::set<double> spacings;
+  for (const auto& row : doc.at("rows").items()) {
+    const double spacingNm = row.items()[spacingCol].asNumber();
+    spacings.insert(spacingNm);
+    SCOPED_TRACE("spacing " + std::to_string(spacingNm) + " nm");
+    const ResultValue alpha = readCellJson(row.items()[alphaCol]);
+    ASSERT_EQ(alpha.kind, ResultValue::Kind::Matrix);
+    ASSERT_EQ(alpha.matrixRows, 5u);
+    ASSERT_EQ(alpha.matrixCols, 5u);
+    const xbar::AlphaTable table = xbar::AlphaTable::analytic(spacingNm * 1e-9);
+
+    EXPECT_LE(std::abs(row.items()[rthCol].asNumber() - table.rTh()),
+              0.005e6 + 1e-6);
+    for (long long dr = 0; dr <= 2; ++dr) {
+      for (long long dc = 0; dc <= 2; ++dc) {
+        if (dr == 0 && dc == 0) continue;
+        for (const long long sr : {-1LL, 1LL}) {
+          for (const long long sc : {-1LL, 1LL}) {
+            const auto r = static_cast<std::size_t>(2 + sr * dr);
+            const auto c = static_cast<std::size_t>(2 + sc * dc);
+            EXPECT_LE(std::abs(alpha.series[r * 5 + c] - table.at(dr, dc)),
+                      0.5e-4 + 1e-12)
+                << "offset (" << dr << "," << dc << ") at (" << r << "," << c
+                << ")";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(spacings, (std::set<double>{10.0, 50.0, 90.0}));
 }
 
 /// Cross-product determinism through the registry path: a real two-axis

@@ -3,16 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 namespace nh::fem {
 namespace {
 
-CrossbarModel3D smallModel() {
-  CrossbarLayout layout;
-  layout.rows = 3;
-  layout.cols = 3;
-  layout.margin = 20e-9;
-  return CrossbarModel3D::build(layout);
+const CrossbarModel3D& smallModel() {
+  static const CrossbarModel3D model = [] {
+    CrossbarLayout layout;
+    layout.rows = 3;
+    layout.cols = 3;
+    layout.margin = 20e-9;
+    return CrossbarModel3D::build(layout);
+  }();
+  return model;
 }
 
 TransientScenario quickScenario(const CrossbarModel3D& model) {
@@ -26,6 +30,20 @@ TransientScenario quickScenario(const CrossbarModel3D& model) {
   return s;
 }
 
+/// quickScenario's step response stopped at \p tStop, solved once per stop
+/// time and shared by the tests below (each march takes seconds under the
+/// sanitizers).
+const TransientSolution& stepResponse(double tStop) {
+  static std::map<double, TransientSolution> cache;
+  auto it = cache.find(tStop);
+  if (it == cache.end()) {
+    TransientScenario scenario = quickScenario(smallModel());
+    scenario.tStop = tStop;
+    it = cache.emplace(tStop, solveThermalStep(scenario)).first;
+  }
+  return it->second;
+}
+
 TEST(HeatCapacity, DefaultsArePositive) {
   const auto t = HeatCapacityTable::defaults();
   for (int m = 0; m < static_cast<int>(Material::Count); ++m) {
@@ -34,9 +52,9 @@ TEST(HeatCapacity, DefaultsArePositive) {
 }
 
 TEST(TransientThermal, MonotoneRiseTowardSteadyState) {
-  const auto model = smallModel();
+  const auto& model = smallModel();
   const auto scenario = quickScenario(model);
-  const auto sol = solveThermalStep(scenario);
+  const auto& sol = stepResponse(scenario.tStop);
   ASSERT_TRUE(sol.converged);
   ASSERT_GE(sol.cellTemperature.size(), 3u);
   const auto& heated = sol.cellTemperature[0];
@@ -57,8 +75,7 @@ TEST(TransientThermal, MonotoneRiseTowardSteadyState) {
 }
 
 TEST(TransientThermal, FilamentTauIsNanoseconds) {
-  const auto model = smallModel();
-  const auto sol = solveThermalStep(quickScenario(model));
+  const auto& sol = stepResponse(10e-9);
   ASSERT_TRUE(sol.converged);
   const double tau = sol.riseTimeConstant(0);
   ASSERT_FALSE(std::isnan(tau));
@@ -69,10 +86,7 @@ TEST(TransientThermal, FilamentTauIsNanoseconds) {
 }
 
 TEST(TransientThermal, NeighbourLagsTheHeatedCell) {
-  const auto model = smallModel();
-  TransientScenario scenario = quickScenario(model);
-  scenario.tStop = 20e-9;
-  const auto sol = solveThermalStep(scenario);
+  const auto& sol = stepResponse(20e-9);
   ASSERT_TRUE(sol.converged);
   const double tauHeated = sol.riseTimeConstant(0);
   const double tauNeighbour = sol.riseTimeConstant(1);
@@ -82,10 +96,7 @@ TEST(TransientThermal, NeighbourLagsTheHeatedCell) {
 }
 
 TEST(TransientThermal, NeighbourOrderingMatchesAlphas) {
-  const auto model = smallModel();
-  TransientScenario scenario = quickScenario(model);
-  scenario.tStop = 20e-9;
-  const auto sol = solveThermalStep(scenario);
+  const auto& sol = stepResponse(20e-9);
   ASSERT_TRUE(sol.converged);
   // Word-line neighbour ends hotter than bit-line, which ends hotter than
   // the diagonal -- same ordering as the steady alpha extraction.
@@ -97,8 +108,34 @@ TEST(TransientThermal, NeighbourOrderingMatchesAlphas) {
   EXPECT_GT(diag, 300.0);
 }
 
+/// The rise tau is measured against the steady state of the same scenario,
+/// so stopping the march later must not move it (against the last sample
+/// it grew with tStop).
+TEST(TransientThermal, RiseTauDoesNotDependOnStopTime) {
+  const auto& shortRun = stepResponse(10e-9);
+  const auto& longRun = stepResponse(20e-9);
+  const double dt = quickScenario(smallModel()).dt;
+  ASSERT_TRUE(shortRun.converged);
+  ASSERT_TRUE(longRun.converged);
+  ASSERT_EQ(shortRun.steadyTemperature.size(), shortRun.cellLabels.size());
+  std::size_t compared = 0;
+  for (std::size_t s = 0; s < shortRun.cellLabels.size(); ++s) {
+    SCOPED_TRACE(shortRun.cellLabels[s]);
+    EXPECT_NEAR(shortRun.steadyTemperature[s], longRun.steadyTemperature[s],
+                1e-3);
+    const double tauShort = shortRun.riseTimeConstant(s);
+    const double tauLong = longRun.riseTimeConstant(s);
+    ASSERT_FALSE(std::isnan(tauLong));
+    if (std::isnan(tauShort)) continue;  // short run stops before the mark
+    EXPECT_NEAR(tauShort, tauLong, dt);
+    ++compared;
+  }
+  // The heated cell and its word-line neighbour reach the mark in both.
+  EXPECT_GE(compared, 2u);
+}
+
 TEST(TransientThermal, Validation) {
-  const auto model = smallModel();
+  const auto& model = smallModel();
   TransientScenario bad = quickScenario(model);
   bad.dt = 0.0;
   EXPECT_THROW(solveThermalStep(bad), std::invalid_argument);

@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "util/config.hpp"
 #include "util/csv.hpp"
 #include "util/stringutil.hpp"
 
@@ -35,20 +34,12 @@ TEST(StringUtil, CaseHelpers) {
   EXPECT_TRUE(iequals("LRS", "lrs"));
   EXPECT_FALSE(iequals("LRS", "hrs"));
   EXPECT_EQ(toLower("AbC"), "abc");
-  EXPECT_TRUE(startsWith("wl3_0", "wl"));
-  EXPECT_FALSE(startsWith("a", "ab"));
 }
 
 TEST(StringUtil, ParseDouble) {
   EXPECT_DOUBLE_EQ(parseDouble(" 1.5e-9 "), 1.5e-9);
   EXPECT_THROW(parseDouble("abc"), std::invalid_argument);
   EXPECT_THROW(parseDouble("1.5x"), std::invalid_argument);
-}
-
-TEST(StringUtil, ParseInt) {
-  EXPECT_EQ(parseInt("42"), 42);
-  EXPECT_EQ(parseInt("-3"), -3);
-  EXPECT_THROW(parseInt("4.2"), std::invalid_argument);
 }
 
 // ---- csv --------------------------------------------------------------------
@@ -85,43 +76,6 @@ TEST(Csv, SaveAndLoad) {
   const CsvTable back = CsvTable::load(path);
   EXPECT_DOUBLE_EQ(back.cellAsDouble(0, "p"), 3.25);
   std::filesystem::remove(path);
-}
-
-// ---- config --------------------------------------------------------------------
-
-TEST(Config, ParsesSectionsAndComments) {
-  const auto cfg = Config::fromString(
-      "# comment\n"
-      "top = 1\n"
-      "[attack]\n"
-      "pulse_ns = 50 ; trailing comment\n"
-      "amplitude = 1.05\n"
-      "[array]\n"
-      "rows=5\n");
-  EXPECT_EQ(cfg.getInt("top", 0), 1);
-  EXPECT_DOUBLE_EQ(cfg.getDouble("attack.pulse_ns", 0.0), 50.0);
-  EXPECT_DOUBLE_EQ(cfg.getDouble("attack.amplitude", 0.0), 1.05);
-  EXPECT_EQ(cfg.getInt("array.rows", 0), 5);
-  EXPECT_FALSE(cfg.has("array.cols"));
-}
-
-TEST(Config, TypedFallbacks) {
-  const auto cfg = Config::fromString("a = yes\nb = 2.5\n");
-  EXPECT_TRUE(cfg.getBool("a", false));
-  EXPECT_FALSE(cfg.getBool("missing", false));
-  EXPECT_DOUBLE_EQ(cfg.getDouble("b", 0.0), 2.5);
-  EXPECT_DOUBLE_EQ(cfg.getDouble("missing", 7.0), 7.0);
-}
-
-TEST(Config, MalformedInputThrows) {
-  EXPECT_THROW(Config::fromString("[section\nx=1\n"), std::runtime_error);
-  EXPECT_THROW(Config::fromString("just a line\n"), std::runtime_error);
-  EXPECT_THROW(Config::fromString("= 3\n"), std::runtime_error);
-}
-
-TEST(Config, BadBoolThrows) {
-  const auto cfg = Config::fromString("a = maybe\n");
-  EXPECT_THROW(cfg.getBool("a", false), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include "xbar/array.hpp"
 #include "xbar/controller.hpp"
-#include "xbar/files.hpp"
 #include "xbar/vmm.hpp"
 
 namespace nh::xbar {
@@ -127,81 +126,6 @@ TEST_F(ControllerFixture, ActivationCountersTrackOperations) {
 TEST_F(ControllerFixture, ImageSizeValidation) {
   EXPECT_THROW(controller.writeImage(std::vector<bool>(4, false)),
                std::invalid_argument);
-}
-
-// ---- init / stimuli files ---------------------------------------------------------
-
-TEST(InitFile, ParseAndApply) {
-  const auto entries = parseInit(
-      "# comment line\n"
-      "0 0 LRS\n"
-      "1 2 hrs   # trailing comment\n"
-      "2 1 4.0e25\n");
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_TRUE(entries[0].isLrs);
-  EXPECT_FALSE(entries[1].isLrs);
-  EXPECT_TRUE(entries[2].explicitConcentration);
-
-  CrossbarArray array(smallConfig());
-  applyInit(array, entries);
-  EXPECT_EQ(array.stateOf(0, 0), CellState::Lrs);
-  EXPECT_EQ(array.stateOf(1, 2), CellState::Hrs);
-  EXPECT_NEAR(array.cell(2, 1).nDisc(), 4.0e25, 1e15);
-}
-
-TEST(InitFile, RejectsMalformedLines) {
-  EXPECT_THROW(parseInit("0 0\n"), std::runtime_error);
-  EXPECT_THROW(parseInit("0 0 MAYBE\n"), std::invalid_argument);
-  EXPECT_THROW(parseInit("-1 0 LRS\n"), std::runtime_error);
-  EXPECT_THROW(parseInit("0 0 -5e25\n"), std::runtime_error);
-}
-
-TEST(InitFile, ApplyOutOfRangeThrows) {
-  CrossbarArray array(smallConfig());
-  EXPECT_THROW(applyInit(array, parseInit("5 0 LRS\n")), std::out_of_range);
-}
-
-TEST(InitFile, DumpRoundTrips) {
-  CrossbarArray array(smallConfig());
-  array.fill(CellState::Hrs);
-  array.setState(1, 1, CellState::Lrs);
-  const auto entries = parseInit(dumpInit(array));
-  CrossbarArray copy(smallConfig());
-  applyInit(copy, entries);
-  EXPECT_EQ(copy.stateOf(1, 1), CellState::Lrs);
-  EXPECT_EQ(copy.stateOf(0, 0), CellState::Hrs);
-}
-
-TEST(StimuliFile, ParseFields) {
-  const auto stimuli = parseStimuli(
-      "# WL|BL idx amp lenNs duty count [delayNs]\n"
-      "WL 2 1.05 50 0.5 1000\n"
-      "BL 0 0.525 50 1.0 -1 10\n");
-  ASSERT_EQ(stimuli.size(), 2u);
-  EXPECT_TRUE(stimuli[0].isWordLine);
-  EXPECT_EQ(stimuli[0].index, 2u);
-  EXPECT_DOUBLE_EQ(stimuli[0].pulse.amplitude, 1.05);
-  EXPECT_DOUBLE_EQ(stimuli[0].pulse.width, 50e-9);
-  EXPECT_DOUBLE_EQ(stimuli[0].pulse.period, 100e-9);
-  EXPECT_EQ(stimuli[0].pulse.count, 1000);
-  EXPECT_FALSE(stimuli[1].isWordLine);
-  EXPECT_DOUBLE_EQ(stimuli[1].pulse.delay, 10e-9);
-  EXPECT_DOUBLE_EQ(stimuli[1].pulse.period, 0.0);  // duty 1.0 -> single level
-}
-
-TEST(StimuliFile, RejectsBadInput) {
-  EXPECT_THROW(parseStimuli("XX 0 1.0 50 0.5 10\n"), std::runtime_error);
-  EXPECT_THROW(parseStimuli("WL 0 1.0 -50 0.5 10\n"), std::runtime_error);
-  EXPECT_THROW(parseStimuli("WL 0 1.0 50 1.5 10\n"), std::runtime_error);
-  EXPECT_THROW(parseStimuli("WL 0 1.0 50 0.5\n"), std::runtime_error);
-}
-
-TEST(StimuliFile, ValidationAgainstArray) {
-  CrossbarArray array(smallConfig());
-  const auto ok = parseStimuli("WL 2 1.0 50 0.5 10\n");
-  EXPECT_NO_THROW(validateStimuli(array, ok));
-  const auto bad = parseStimuli("BL 7 1.0 50 0.5 10\n");
-  EXPECT_THROW(validateStimuli(array, bad), std::out_of_range);
 }
 
 // ---- vmm -------------------------------------------------------------------------
