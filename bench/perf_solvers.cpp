@@ -247,86 +247,10 @@ BENCHMARK(BM_GmgHierarchySetup)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
-/// Frozen-structure hierarchy recompute: the state a sweep or transient
-/// march is in when the operator's *values* changed but the grid did not.
-/// The transfers are reused (pre-existing) and the Galerkin chain refills
-/// through the per-level SpGemm plans in O(nnz) -- compare against
-/// BM_GmgHierarchySetup/64, which pays the full symbolic SpGEMM each time.
-void BM_GmgHierarchyRecompute(benchmark::State& state) {
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  const auto matrix = nh::util::makeSteadyFvOperator3d(m, 2.0);
-  nh::util::GeometricMultigrid::Options options;
-  options.nx = options.ny = options.nz = m;
-  nh::util::GeometricMultigrid mg;  // persistent: transfers + plans reused
-  if (!mg.compute(matrix, options)) {
-    state.SkipWithError("GMG setup failed");
-    return;
-  }
-  for (auto _ : state) {
-    const bool ok = mg.compute(matrix, options);
-    benchmark::DoNotOptimize(ok);
-  }
-  state.counters["rows"] = static_cast<double>(m * m * m);
-}
-BENCHMARK(BM_GmgHierarchyRecompute)->Arg(64)->Unit(benchmark::kMillisecond);
-
-/// One level of the Galerkin chain A_c = R (A P) at 64^3 -> 32^3, fresh
-/// SpGEMM vs plan refill (arg: 0 = fresh, 1 = refill). The refill arm also
-/// carries the allocation-count assertion for the old multigrid.cpp
-/// every-compute() reallocation: after the timed loop the plans must report
-/// exactly one symbolic run each and the product's value storage must not
-/// have moved -- any reallocation or re-run fails the bench.
-void BM_GalerkinRefill(benchmark::State& state) {
-  const std::size_t m = 64;
-  const std::size_t mc = (m + 1) / 2;
-  const auto fine = nh::util::makeSteadyFvOperator3d(m, 2.0);
-  const auto p = nh::util::buildTrilinearProlongation(m, m, m, mc, mc, mc);
-  const auto r = p.transposed();
-
-  if (state.range(0) == 0) {
-    for (auto _ : state) {
-      const auto coarse =
-          nh::util::multiplySparse(r, nh::util::multiplySparse(fine, p));
-      benchmark::DoNotOptimize(coarse.values().data());
-    }
-    state.counters["rows"] = static_cast<double>(mc * mc * mc);
-    return;
-  }
-
-  nh::util::SpGemmPlan apPlan, rapPlan;
-  nh::util::SparseMatrix ap, coarse;
-  apPlan.multiply(fine, p, ap);       // symbolic prime
-  rapPlan.multiply(r, ap, coarse);
-  const auto freshCoarse =
-      nh::util::multiplySparse(r, nh::util::multiplySparse(fine, p));
-  if (coarse.values() != freshCoarse.values() ||
-      coarse.colIdx() != freshCoarse.colIdx()) {
-    state.SkipWithError("plan product disagrees with fresh SpGEMM");
-    return;
-  }
-  const double* valuesPtr = coarse.values().data();
-  for (auto _ : state) {
-    apPlan.multiply(fine, p, ap);
-    rapPlan.multiply(r, ap, coarse);
-    benchmark::DoNotOptimize(coarse.values().data());
-  }
-  if (apPlan.symbolicCount() != 1 || rapPlan.symbolicCount() != 1 ||
-      !apPlan.lastWasRefill() || !rapPlan.lastWasRefill()) {
-    state.SkipWithError("refill arm re-ran the symbolic SpGEMM");
-    return;
-  }
-  if (coarse.values().data() != valuesPtr) {
-    state.SkipWithError("refill arm reallocated the product storage");
-    return;
-  }
-  state.counters["rows"] = static_cast<double>(mc * mc * mc);
-}
-BENCHMARK(BM_GalerkinRefill)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 /// Warm-started sweep re-solve: the steady FV system solved to convergence,
 /// then re-solved after a small load change, starting CG from the previous
-/// field vs from zero (arg: 0 = cold, 1 = warm) -- the state the Fig. 3
-/// sweeps' chained alpha extractions run in.
+/// field vs from zero (arg: 0 = cold, 1 = warm) -- the state the coupled
+/// alpha extraction's chained voltage sweep runs in.
 void BM_CgWarmStartResolve(benchmark::State& state) {
   const std::size_t m = 32;
   const std::size_t n = m * m * m;

@@ -22,7 +22,7 @@
 /// as a pass. Missing benchmarks fail a --strict gate like regressions do.
 /// `--filter <regex>` restricts the comparison (and the MISSING check) to
 /// matching benchmark names -- for local single-kernel A/B loops, e.g.
-/// --filter 'BM_GalerkinRefill.*'.
+/// --filter 'BM_GmgHierarchySetup.*'.
 #include <cstdio>
 #include <cstring>
 #include <fstream>

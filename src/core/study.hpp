@@ -29,14 +29,11 @@ struct StudyConfig {
   bool useFemAlphas = false;
   /// Voxel size for the FEM extraction [m]. Finer voxels mean larger FV
   /// systems; at >= DiffusionOptions::multigridMinVoxels voxels the
-  /// extraction's CG solves auto-upgrade to the geometric-multigrid
+  /// extraction's CG solve auto-upgrades to the geometric-multigrid
   /// preconditioner, which keeps iteration counts grid-size independent.
   double femVoxelSize = 5e-9;
-  /// Solver controls for the FEM extraction (tolerances, preconditioner,
-  /// multigrid upgrade threshold). The extraction's power sweep additionally
-  /// warm-starts every CG solve from the previous power point's field --
-  /// a serial chain inside each study construction, so the parallel Fig. 3
-  /// sweeps stay bit-identical for every thread count.
+  /// Solver controls (tolerances, preconditioner, multigrid upgrade
+  /// threshold) for the FEM extraction's single unit-power solve.
   fem::DiffusionOptions femOptions;
   xbar::FastEngineOptions engineOptions;
   DetectorConfig detector;

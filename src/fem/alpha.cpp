@@ -1,6 +1,8 @@
 #include "fem/alpha.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace nh::fem {
 
@@ -64,6 +66,11 @@ AlphaResult extractAlpha(const CrossbarModel3D& model,
   if (powers.size() < 2) {
     throw std::invalid_argument("extractAlpha: need >= 2 power points");
   }
+  for (const double p : powers) {
+    if (!std::isfinite(p) || p < 0.0) {
+      throw std::invalid_argument("extractAlpha: powers must be finite and >= 0");
+    }
+  }
 
   AlphaResult result;
   result.selectedRow = selectedRow;
@@ -71,25 +78,28 @@ AlphaResult extractAlpha(const CrossbarModel3D& model,
   result.ambientK = ambientK;
   result.powers = powers;
 
-  std::vector<double> guess;
-  // One solver for the whole power sweep: the FV assembly is symbolic-phased
-  // once and every later power point only refills values.
-  ThermalSolver solver;
+  // The heat equation has constant conductivities and a Dirichlet ambient,
+  // so T(p) = T_amb + p * G: one solve for the rise G at zero ambient and
+  // 1 W gives every power point. Solving for the rise rather than an
+  // absolute field keeps T_amb out of the CG tolerance.
+  ThermalScenario scenario;
+  scenario.model = &model;
+  scenario.materials = materials;
+  scenario.ambientK = 0.0;
+  scenario.cellPower = nh::util::Matrix(layout.rows, layout.cols, 0.0);
+  scenario.cellPower(selectedRow, selectedCol) = 1.0;
+  const ThermalSolution rise = solveThermal(scenario, options);
+  if (!rise.converged()) {
+    throw std::runtime_error("extractAlpha: thermal solve did not converge");
+  }
   for (const double p : powers) {
-    ThermalScenario scenario;
-    scenario.model = &model;
-    scenario.materials = materials;
-    scenario.ambientK = ambientK;
-    scenario.cellPower = nh::util::Matrix(layout.rows, layout.cols, 0.0);
-    scenario.cellPower(selectedRow, selectedCol) = p;
-
-    const ThermalSolution sol =
-        solver.solve(scenario, options, guess.empty() ? nullptr : &guess);
-    if (!sol.converged()) {
-      throw std::runtime_error("extractAlpha: thermal solve did not converge");
+    nh::util::Matrix t(layout.rows, layout.cols);
+    for (std::size_t r = 0; r < layout.rows; ++r) {
+      for (std::size_t c = 0; c < layout.cols; ++c) {
+        t(r, c) = ambientK + p * rise.cellTemperature(r, c);
+      }
     }
-    guess = sol.temperature;  // warm start for the next power point
-    result.temperatureMatrices.push_back(sol.cellTemperature);
+    result.temperatureMatrices.push_back(std::move(t));
   }
 
   fitAlphas(result);

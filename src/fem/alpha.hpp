@@ -6,9 +6,12 @@
 /// power point, then
 ///   T(P)    = T0 + Rth * P            (selected cell -> Rth by regression)
 ///   Tij(P)  = T0 + Rth * P * alpha_ij (every neighbour -> alpha_ij)
-/// Because the heat equation is linear, R^2 of these fits is ~1; the fits
-/// are still performed (and reported) to mirror the paper's methodology and
-/// to catch discretisation artefacts.
+/// The heat equation is linear (constant conductivities, Dirichlet ambient),
+/// so T(P) = T0 + P * G: extractAlpha solves once for the 1 W rise G and
+/// fills every power point from it, which makes R^2 of its fits 1 by
+/// construction. The fits still run, shared with extractAlphaCoupled, and
+/// report the paper's quantities; the paper's per-power-point solves plus
+/// regression live on as the test oracle for the superposition.
 
 #include <vector>
 
@@ -38,8 +41,10 @@ struct AlphaResult {
   nh::util::Matrix predictTemperatures(double p) const;
 };
 
-/// Extract Rth and the alpha matrix by sweeping the selected cell's
-/// dissipated power (prescribed-power mode; heat equation only).
+/// Extract Rth and the alpha matrix for the selected cell's dissipated
+/// \p powers (prescribed-power mode; heat equation only): one thermal solve
+/// per call, whatever the number of power points. Powers must be finite
+/// and non-negative.
 AlphaResult extractAlpha(const CrossbarModel3D& model,
                          const MaterialTable& materials, std::size_t selectedRow,
                          std::size_t selectedCol, const std::vector<double>& powers,

@@ -32,8 +32,7 @@ nh::util::Matrix cellAverages(const CrossbarModel3D& model,
 }  // namespace
 
 ThermalSolution ThermalSolver::solve(const ThermalScenario& scenario,
-                                     const DiffusionOptions& options,
-                                     const std::vector<double>* initialGuess) {
+                                     const DiffusionOptions& options) {
   if (scenario.model == nullptr) throw std::invalid_argument("solveThermal: null model");
   const CrossbarModel3D& model = *scenario.model;
   const auto& layout = model.layout();
@@ -58,7 +57,7 @@ ThermalSolution ThermalSolver::solve(const ThermalScenario& scenario,
     }
   }
 
-  const DiffusionSolution sol = diffusion_.solve(problem_, options, initialGuess);
+  const DiffusionSolution sol = diffusion_.solve(problem_, options);
 
   ThermalSolution out;
   out.temperature = sol.field;
@@ -68,10 +67,9 @@ ThermalSolution ThermalSolver::solve(const ThermalScenario& scenario,
 }
 
 ThermalSolution solveThermal(const ThermalScenario& scenario,
-                             const DiffusionOptions& options,
-                             const std::vector<double>* initialGuess) {
+                             const DiffusionOptions& options) {
   ThermalSolver solver;
-  return solver.solve(scenario, options, initialGuess);
+  return solver.solve(scenario, options);
 }
 
 CoupledSolution CoupledSolver::solve(const CoupledScenario& scenario,

@@ -35,17 +35,15 @@ struct ThermalSolution {
 };
 
 ThermalSolution solveThermal(const ThermalScenario& scenario,
-                             const DiffusionOptions& options = {},
-                             const std::vector<double>* initialGuess = nullptr);
+                             const DiffusionOptions& options = {});
 
 /// Structure-reusing form of solveThermal(): repeated solves on the same
-/// model (power sweeps, alpha extraction) reuse the cached FV assembly,
-/// coefficient/source buffers, and CG workspace of one DiffusionSolver.
+/// model (power sweeps) reuse the cached FV assembly, coefficient/source
+/// buffers, and CG workspace of one DiffusionSolver.
 class ThermalSolver {
  public:
   ThermalSolution solve(const ThermalScenario& scenario,
-                        const DiffusionOptions& options = {},
-                        const std::vector<double>* initialGuess = nullptr);
+                        const DiffusionOptions& options = {});
 
  private:
   DiffusionSolver diffusion_;

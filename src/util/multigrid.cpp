@@ -182,15 +182,14 @@ bool GeometricMultigrid::compute(const SparseMatrix& a, const Options& options) 
     if (levels_.empty()) return false;
   }
 
-  // Galerkin chain A_{l+1} = R_l A_l P_l down the hierarchy, through the
-  // per-level SpGemm plans: the first compute() (or any structure change)
-  // runs the full SpGEMM and captures the structures; frozen-hierarchy
-  // recomputes -- same grid, same stencil pattern, new values -- refill the
-  // cached A P and R (A P) products in O(nnz) with no allocation.
+  // Galerkin chain A_{l+1} = R_l (A_l P_l) down the hierarchy (large
+  // products split their rows over the shared pool). The A P intermediate
+  // is scratch, reused across levels and released on return.
   const SparseMatrix* current = &a;
+  SparseMatrix ap;
   for (Level& level : levels_) {
-    level.apPlan.multiply(*current, level.prolong, level.ap);
-    level.rapPlan.multiply(level.restrict_, level.ap, level.coarseA);
+    multiplySparseInto(*current, level.prolong, ap);
+    multiplySparseInto(level.restrict_, ap, level.coarseA);
     if (!hasUsableDiagonal(level.coarseA)) return false;
     current = &level.coarseA;
   }

@@ -73,13 +73,7 @@ class GeometricMultigrid {
     std::size_t nx = 0, ny = 0, nz = 0;  ///< This coarse level's dims.
     SparseMatrix prolong;                ///< maps this level -> finer level.
     SparseMatrix restrict_;              ///< prolong transposed.
-    SparseMatrix ap;                     ///< Cached A_l P_l intermediate.
     SparseMatrix coarseA;                ///< Galerkin operator here.
-    /// Symbolic-once plans for the Galerkin chain A_{l+1} = R (A_l P):
-    /// same-structure recomputes (frozen-hierarchy sweeps, transient loops)
-    /// refill ap/coarseA in O(nnz) instead of re-running SpGEMM with fresh
-    /// allocations.
-    SpGemmPlan apPlan, rapPlan;
     mutable Vector b, x, scratch;        ///< V-cycle storage for this level.
   };
 

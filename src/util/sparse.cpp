@@ -13,9 +13,62 @@ namespace nh::util {
 
 namespace {
 
-/// Row range below which the SpMV stays on the calling thread: the fork/join
-/// overhead of the shared pool only pays off for FEM-sized operators.
+/// Row count below which the row-parallel kernels (SpMV, SpGEMM) stay on the
+/// calling thread: the fork/join overhead of the shared pool only pays off
+/// for FEM-sized operators.
 constexpr std::size_t kParallelSpmvMinRows = 16384;
+
+/// Row blocks a row-independent kernel splits into: one (serial) below the
+/// size threshold or on a single-core pool -- where fork/join is pure
+/// overhead -- else one per concurrent executor of the shared pool.
+std::size_t parallelRowBlocks(std::size_t rows) {
+  if (rows < kParallelSpmvMinRows) return 1;
+  const std::size_t workers = ThreadPool::shared().size();
+  return workers < 2 ? 1 : std::min(rows, workers + 1);
+}
+
+/// Gustavson rows [begin, end) of a * b, appended to \p cols / \p vals;
+/// rowEnd[r + 1] receives row r's end offset into those arrays. Per output
+/// row, products scatter-accumulate into a dense workspace keyed by column
+/// (a row-stamp marker detects first touches in O(1)) in the operands'
+/// storage order, so a row's sums do not depend on which block computes it.
+void gustavsonRows(const SparseMatrix& a, const SparseMatrix& b,
+                   std::size_t begin, std::size_t end,
+                   std::vector<std::size_t>& cols, std::vector<double>& vals,
+                   std::size_t* rowEnd) {
+  const auto& aRowPtr = a.rowPtr();
+  const auto& aColIdx = a.colIdx();
+  const auto& aValues = a.values();
+  const auto& bRowPtr = b.rowPtr();
+  const auto& bColIdx = b.colIdx();
+  const auto& bValues = b.values();
+  constexpr std::size_t kNever = static_cast<std::size_t>(-1);
+  std::vector<double> acc(b.cols(), 0.0);
+  std::vector<std::size_t> lastRow(b.cols(), kNever);
+  std::vector<std::size_t> touched;
+  for (std::size_t r = begin; r < end; ++r) {
+    touched.clear();
+    for (std::size_t ka = aRowPtr[r]; ka < aRowPtr[r + 1]; ++ka) {
+      const std::size_t mid = aColIdx[ka];
+      const double av = aValues[ka];
+      for (std::size_t kb = bRowPtr[mid]; kb < bRowPtr[mid + 1]; ++kb) {
+        const std::size_t col = bColIdx[kb];
+        if (lastRow[col] != r) {
+          lastRow[col] = r;
+          acc[col] = 0.0;
+          touched.push_back(col);
+        }
+        acc[col] += av * bValues[kb];
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    for (const std::size_t col : touched) {
+      cols.push_back(col);
+      vals.push_back(acc[col]);
+    }
+    rowEnd[r + 1] = cols.size();
+  }
+}
 
 std::uint64_t nextPatternId() {
   static std::atomic<std::uint64_t> counter{0};
@@ -100,18 +153,13 @@ void SparseMatrix::multiplyInto(const Vector& x, Vector& y) const {
   const auto rowRange = [&](std::size_t begin, std::size_t end) {
     spmv::rowRangeReference(rp, col, val, xs, ys, begin, end);
   };
-  if (rows_ < kParallelSpmvMinRows) {
+  const std::size_t chunks = parallelRowBlocks(rows_);
+  if (chunks == 1) {
     rowRange(0, rows_);
     return;
   }
-  ThreadPool& pool = ThreadPool::shared();
-  if (pool.size() < 2) {  // single-core: fork/join is pure overhead
-    rowRange(0, rows_);
-    return;
-  }
-  const std::size_t chunks = std::min(rows_, pool.size() + 1);
   const std::size_t per = (rows_ + chunks - 1) / chunks;
-  pool.parallelFor(chunks, [&](std::size_t chunk) {
+  ThreadPool::shared().parallelFor(chunks, [&](std::size_t chunk) {
     const std::size_t begin = chunk * per;
     rowRange(begin, std::min(rows_, begin + per));
   });
@@ -151,151 +199,68 @@ void multiplySparseInto(const SparseMatrix& a, const SparseMatrix& b,
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("multiplySparse: inner dimension mismatch");
   }
-  out.rows_ = a.rows();
+  const std::size_t rows = a.rows();
+  out.rows_ = rows;
   out.cols_ = b.cols();
   out.patternId_ = 0;
-  out.rowPtr_.assign(a.rows() + 1, 0);
+  out.rowPtr_.assign(rows + 1, 0);
   out.colIdx_.clear();
   out.values_.clear();
   // The Galerkin products this feeds roughly preserve nnz; reserving the
   // larger operand's count avoids most growth reallocations.
-  out.colIdx_.reserve(std::max(a.nonZeros(), b.nonZeros()));
-  out.values_.reserve(std::max(a.nonZeros(), b.nonZeros()));
+  const std::size_t nnzHint = std::max(a.nonZeros(), b.nonZeros());
 
-  // Gustavson: per output row, scatter-accumulate into a dense workspace
-  // keyed by column; a row-stamp marker detects first touches in O(1).
-  constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-  std::vector<double> acc(b.cols(), 0.0);
-  std::vector<std::size_t> lastRow(b.cols(), kNever);
-  std::vector<std::size_t> touched;
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    touched.clear();
-    for (std::size_t ka = a.rowPtr_[r]; ka < a.rowPtr_[r + 1]; ++ka) {
-      const std::size_t mid = a.colIdx_[ka];
-      const double av = a.values_[ka];
-      for (std::size_t kb = b.rowPtr_[mid]; kb < b.rowPtr_[mid + 1]; ++kb) {
-        const std::size_t col = b.colIdx_[kb];
-        if (lastRow[col] != r) {
-          lastRow[col] = r;
-          acc[col] = 0.0;
-          touched.push_back(col);
-        }
-        acc[col] += av * b.values_[kb];
-      }
-    }
-    std::sort(touched.begin(), touched.end());
-    for (const std::size_t col : touched) {
-      out.colIdx_.push_back(col);
-      out.values_.push_back(acc[col]);
-    }
-    out.rowPtr_[r + 1] = out.colIdx_.size();
+  const std::size_t blocks = parallelRowBlocks(rows);
+  if (blocks == 1) {
+    out.colIdx_.reserve(nnzHint);
+    out.values_.reserve(nnzHint);
+    gustavsonRows(a, b, 0, rows, out.colIdx_, out.values_, out.rowPtr_.data());
+    return;
   }
+
+  // Each block runs the serial loop on its rows into private buffers (row
+  // ends relative to the block), then a prefix sum over the block sizes
+  // places every block in the joined arrays.
+  struct Block {
+    std::size_t begin = 0, end = 0, offset = 0;
+    std::vector<std::size_t> cols;
+    std::vector<double> vals;
+  };
+  std::vector<Block> parts(blocks);
+  const std::size_t per = (rows + blocks - 1) / blocks;
+  ThreadPool& pool = ThreadPool::shared();
+  pool.parallelFor(blocks, [&](std::size_t k) {
+    Block& part = parts[k];
+    part.begin = std::min(rows, k * per);
+    part.end = std::min(rows, part.begin + per);
+    part.cols.reserve(nnzHint / blocks);
+    part.vals.reserve(nnzHint / blocks);
+    gustavsonRows(a, b, part.begin, part.end, part.cols, part.vals,
+                  out.rowPtr_.data());
+  });
+  std::size_t total = 0;
+  for (Block& part : parts) {
+    part.offset = total;
+    total += part.cols.size();
+  }
+  out.colIdx_.resize(total);
+  out.values_.resize(total);
+  pool.parallelFor(blocks, [&](std::size_t k) {
+    const Block& part = parts[k];
+    for (std::size_t r = part.begin; r < part.end; ++r) {
+      out.rowPtr_[r + 1] += part.offset;
+    }
+    std::copy(part.cols.begin(), part.cols.end(),
+              out.colIdx_.begin() + static_cast<std::ptrdiff_t>(part.offset));
+    std::copy(part.vals.begin(), part.vals.end(),
+              out.values_.begin() + static_cast<std::ptrdiff_t>(part.offset));
+  });
 }
 
 SparseMatrix multiplySparse(const SparseMatrix& a, const SparseMatrix& b) {
   SparseMatrix c;
   multiplySparseInto(a, b, c);
   return c;
-}
-
-bool SpGemmPlan::matches(const SparseMatrix& a, const SparseMatrix& b) const {
-  return b.cols_ == bCols_ && a.rowPtr_ == aRowPtr_ && a.colIdx_ == aColIdx_ &&
-         b.rowPtr_ == bRowPtr_ && b.colIdx_ == bColIdx_;
-}
-
-void SpGemmPlan::multiply(const SparseMatrix& a, const SparseMatrix& b,
-                          SparseMatrix& out) {
-  if (a.cols() != b.rows()) {
-    throw std::invalid_argument("SpGemmPlan::multiply: inner dimension mismatch");
-  }
-  if (id_ == 0 || !matches(a, b)) {
-    // Structure changed (or first use): full symbolic + numeric SpGEMM, then
-    // snapshot the structures so the next same-structure call can refill.
-    multiplySparseInto(a, b, out);
-    aRowPtr_ = a.rowPtr_;
-    aColIdx_ = a.colIdx_;
-    bRowPtr_ = b.rowPtr_;
-    bColIdx_ = b.colIdx_;
-    bCols_ = b.cols_;
-    outRowPtr_ = out.rowPtr_;
-    outColIdx_ = out.colIdx_;
-    acc_.assign(b.cols(), 0.0);
-    id_ = nextPatternId();
-    out.patternId_ = id_;
-    ++symbolicCount_;
-    lastWasRefill_ = false;
-    return;
-  }
-  // Refill path. Copy the cached product structure into `out` only when it
-  // does not already carry it (same skip SparsityPattern::assemble uses).
-  if (out.patternId_ != id_) {
-    out.rows_ = aRowPtr_.size() - 1;
-    out.cols_ = b.cols();
-    out.rowPtr_ = outRowPtr_;
-    out.colIdx_ = outColIdx_;
-    out.values_.resize(outColIdx_.size());
-    out.patternId_ = id_;
-  }
-  // Per row: zero the accumulator over exactly the product row's columns,
-  // replay the Gustavson accumulation in its original order (bit-identical
-  // sums), and gather back through the known structure. No sort, no
-  // first-touch bookkeeping, no allocation.
-  const std::size_t rows = outRowPtr_.size() - 1;
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t k = outRowPtr_[r]; k < outRowPtr_[r + 1]; ++k) {
-      acc_[outColIdx_[k]] = 0.0;
-    }
-    for (std::size_t ka = aRowPtr_[r]; ka < aRowPtr_[r + 1]; ++ka) {
-      const std::size_t mid = aColIdx_[ka];
-      const double av = a.values_[ka];
-      for (std::size_t kb = bRowPtr_[mid]; kb < bRowPtr_[mid + 1]; ++kb) {
-        acc_[bColIdx_[kb]] += av * b.values_[kb];
-      }
-    }
-    for (std::size_t k = outRowPtr_[r]; k < outRowPtr_[r + 1]; ++k) {
-      out.values_[k] = acc_[outColIdx_[k]];
-    }
-  }
-  lastWasRefill_ = true;
-}
-
-void TransposePlan::transpose(const SparseMatrix& a, SparseMatrix& out) {
-  if (id_ != 0 && a.rowPtr_ == aRowPtr_ && a.colIdx_ == aColIdx_) {
-    if (out.patternId_ != id_) {
-      out.rows_ = a.cols_;
-      out.cols_ = a.rows_;
-      out.rowPtr_ = outRowPtr_;
-      out.colIdx_ = outColIdx_;
-      out.values_.resize(outColIdx_.size());
-      out.patternId_ = id_;
-    }
-    for (std::size_t k = 0; k < scatter_.size(); ++k) {
-      out.values_[scatter_[k]] = a.values_[k];
-    }
-    lastWasRefill_ = true;
-    return;
-  }
-  // Symbolic pass: the same counting sort as SparseMatrix::transposed, but
-  // recording where each source slot lands so refills become a straight
-  // value permutation.
-  out = a.transposed();
-  scatter_.resize(a.colIdx_.size());
-  {
-    std::vector<std::size_t> cursor(out.rowPtr_.begin(), out.rowPtr_.end() - 1);
-    for (std::size_t r = 0; r < a.rows_; ++r) {
-      for (std::size_t k = a.rowPtr_[r]; k < a.rowPtr_[r + 1]; ++k) {
-        scatter_[k] = cursor[a.colIdx_[k]]++;
-      }
-    }
-  }
-  aRowPtr_ = a.rowPtr_;
-  aColIdx_ = a.colIdx_;
-  outRowPtr_ = out.rowPtr_;
-  outColIdx_ = out.colIdx_;
-  id_ = nextPatternId();
-  out.patternId_ = id_;
-  ++symbolicCount_;
-  lastWasRefill_ = false;
 }
 
 double SparseMatrix::at(std::size_t r, std::size_t c) const {

@@ -96,8 +96,6 @@ class SparseMatrix {
 
  private:
   friend class SparsityPattern;
-  friend class SpGemmPlan;
-  friend class TransposePlan;
   friend void multiplySparseInto(const SparseMatrix&, const SparseMatrix&,
                                  SparseMatrix&);
 
@@ -157,73 +155,11 @@ SparseMatrix multiplySparse(const SparseMatrix& a, const SparseMatrix& b);
 
 /// As multiplySparse, but writing into \p out: the CSR arrays are cleared
 /// and refilled, so a caller that keeps \p out alive across calls reuses its
-/// capacity instead of allocating a fresh product each time.
+/// capacity instead of allocating a fresh product each time. Large products
+/// split their rows into blocks over the shared thread pool (the SpMV
+/// policy of multiplyInto); each row is accumulated exactly as the serial
+/// loop does, so the result is bit-identical for any thread count.
 void multiplySparseInto(const SparseMatrix& a, const SparseMatrix& b,
                         SparseMatrix& out);
-
-/// Symbolic-once/refill-values SpGEMM, the sparse-product analogue of
-/// SparsityPattern::assemble. The first multiply() (or any call whose
-/// operands changed structure) runs the full Gustavson SpGEMM and captures
-/// the operand and product structures; every later call with structurally
-/// identical operands refills the product values in O(flops) -- no symbolic
-/// pass, no sort, no allocation -- and is bit-identical to the fresh product
-/// (the refill replays the exact accumulation order).
-///
-/// This is what lets the multigrid Galerkin chain A_c = R (A P) rebuild in
-/// O(nnz) when only the fine operator's *values* changed (frozen-hierarchy
-/// re-solves across a sweep).
-class SpGemmPlan {
- public:
-  SpGemmPlan() = default;
-
-  /// out = a * b, refilling through the cached structure when it matches.
-  /// Throws std::invalid_argument on an inner-dimension mismatch.
-  void multiply(const SparseMatrix& a, const SparseMatrix& b,
-                SparseMatrix& out);
-
-  /// True when the most recent multiply() took the O(flops) refill path.
-  bool lastWasRefill() const { return lastWasRefill_; }
-  /// Number of full symbolic SpGEMM runs this plan has performed. A frozen
-  /// hierarchy should pin this at 1 -- asserted by BM_GalerkinRefill.
-  std::size_t symbolicCount() const { return symbolicCount_; }
-
- private:
-  bool matches(const SparseMatrix& a, const SparseMatrix& b) const;
-
-  // Structure snapshots of the operands (for the match test) and of the
-  // product (for the refill gather).
-  std::vector<std::size_t> aRowPtr_, aColIdx_;
-  std::vector<std::size_t> bRowPtr_, bColIdx_;
-  std::vector<std::size_t> outRowPtr_, outColIdx_;
-  std::size_t bCols_ = 0;    ///< Column count vectors alone can't pin down.
-  std::vector<double> acc_;  ///< Dense per-row accumulator workspace.
-  std::uint64_t id_ = 0;     ///< Pattern identity stamped into products.
-  std::size_t symbolicCount_ = 0;
-  bool lastWasRefill_ = false;
-};
-
-/// Symbolic-once/refill-values transpose: first transpose() runs the O(nnz)
-/// counting sort and records the slot permutation; later calls on a matrix
-/// with identical structure replay the permutation (a straight value
-/// scatter, bit-identical to SparseMatrix::transposed).
-class TransposePlan {
- public:
-  TransposePlan() = default;
-
-  /// out = a^T, refilling through the cached permutation when a's structure
-  /// matches the captured one.
-  void transpose(const SparseMatrix& a, SparseMatrix& out);
-
-  bool lastWasRefill() const { return lastWasRefill_; }
-  std::size_t symbolicCount() const { return symbolicCount_; }
-
- private:
-  std::vector<std::size_t> aRowPtr_, aColIdx_;
-  std::vector<std::size_t> outRowPtr_, outColIdx_;
-  std::vector<std::size_t> scatter_;  ///< source value slot -> dest slot.
-  std::uint64_t id_ = 0;
-  std::size_t symbolicCount_ = 0;
-  bool lastWasRefill_ = false;
-};
 
 }  // namespace nh::util

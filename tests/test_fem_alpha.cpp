@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fem/thermal.hpp"
 
 namespace nh::fem {
@@ -76,6 +78,45 @@ TEST(ExtractAlpha, LinearFitsAreNearPerfect) {
   }
 }
 
+TEST(ExtractAlpha, SuperpositionMatchesThreeSolveRegression) {
+  // The paper's procedure as the oracle: one absolute thermal solve per
+  // power point, then a least-squares line per cell (Eq. 3 on the selected
+  // cell, Eq. 4 on the others). extractAlpha's single unit-power solve must
+  // reproduce it to solver precision.
+  const auto model = smallModel();
+  const std::vector<double> powers = {0.05e-3, 0.10e-3, 0.15e-3};
+  const DiffusionOptions tight{1e-12, 40000};
+
+  ThermalSolver solver;
+  ThermalScenario scenario;
+  scenario.model = &model;
+  scenario.ambientK = 300.0;
+  std::vector<nh::util::Matrix> temperatures;
+  for (const double p : powers) {
+    scenario.cellPower = nh::util::Matrix(3, 3, 0.0);
+    scenario.cellPower(1, 1) = p;
+    const auto sol = solver.solve(scenario, tight);
+    ASSERT_TRUE(sol.converged());
+    temperatures.push_back(sol.cellTemperature);
+  }
+  const auto cellFit = [&](std::size_t r, std::size_t c) {
+    std::vector<double> t;
+    for (const auto& tm : temperatures) t.push_back(tm(r, c));
+    return nh::util::fitLinear(powers, t);
+  };
+  const double rThRef = cellFit(1, 1).slope;
+
+  const auto result =
+      extractAlpha(model, MaterialTable::defaults(), 1, 1, powers, 300.0, tight);
+  EXPECT_NEAR(result.rTh, rThRef, 1e-8 * rThRef);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      const double alphaRef = cellFit(r, c).slope / rThRef;
+      EXPECT_NEAR(result.alpha(r, c), alphaRef, 1e-8 * alphaRef) << r << "," << c;
+    }
+  }
+}
+
 TEST(ExtractAlpha, AlphaStructure) {
   const auto model = smallModel();
   const auto result = extractAlpha(model, MaterialTable::defaults(), 1, 1,
@@ -131,6 +172,12 @@ TEST(ExtractAlpha, Validation) {
       extractAlpha(model, MaterialTable::defaults(), 5, 1, {1e-4, 2e-4}, 300.0),
       std::out_of_range);
   EXPECT_THROW(extractAlpha(model, MaterialTable::defaults(), 1, 1, {1e-4}, 300.0),
+               std::invalid_argument);
+  EXPECT_THROW(
+      extractAlpha(model, MaterialTable::defaults(), 1, 1, {1e-4, -1e-4}, 300.0),
+      std::invalid_argument);
+  EXPECT_THROW(extractAlpha(model, MaterialTable::defaults(), 1, 1,
+                            {1e-4, std::nan("")}, 300.0),
                std::invalid_argument);
 }
 

@@ -283,10 +283,10 @@ TEST(GeometricMultigrid, FallsBackWithoutGridDimensions) {
 }
 
 TEST(GeometricMultigrid, FrozenHierarchyRecomputeBitIdenticalToFreshBuild) {
-  // Same grid, new operator values: the second compute() refills the
-  // Galerkin chain through the cached SpGemm plans. The resulting V-cycle
-  // must be bit-identical to one from a from-scratch hierarchy on the same
-  // matrix -- the refill replays the exact SpGEMM accumulation order.
+  // Same grid, new operator values: the second compute() reuses the
+  // transfer operators and redoes the Galerkin products into the existing
+  // level storage. The resulting V-cycle must be bit-identical to one from
+  // a from-scratch hierarchy on the same matrix.
   const std::size_t m = 12;
   const SparseMatrix a1 = steadyFvOperator(m, 2.0);
   const SparseMatrix a2 = steadyFvOperator(m, 2.7);  // same structure
@@ -381,38 +381,6 @@ TEST(ConjugateGradient, WarmStartReducesIterationsOnPerturbedResolve) {
   const double fieldScale = nh::util::normInf(cold);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(warm[i], cold[i], 1e-7 * fieldScale);
-  }
-}
-
-TEST(ThermalSolver, WarmStartedPowerSweepReducesIterations) {
-  // The alpha-extraction pattern: same model, stepped power, each solve
-  // seeded with the previous field. The warm-started re-solve must converge
-  // in fewer CG iterations and to the same field (within tolerance).
-  nh::fem::CrossbarLayout layout;
-  layout.rows = 3;
-  layout.cols = 3;
-  layout.margin = 20e-9;
-  const auto model = nh::fem::CrossbarModel3D::build(layout);
-
-  nh::fem::ThermalScenario scenario;
-  scenario.model = &model;
-  scenario.cellPower = Matrix(3, 3, 0.0);
-  scenario.cellPower(1, 1) = 1e-4;
-
-  nh::fem::ThermalSolver solver;
-  const auto first = solver.solve(scenario);
-  ASSERT_TRUE(first.converged());
-
-  scenario.cellPower(1, 1) = 1.02e-4;  // next sweep point, 2% away
-  const auto cold = solver.solve(scenario);
-  const auto warm = solver.solve(scenario, {}, &first.temperature);
-  ASSERT_TRUE(cold.converged());
-  ASSERT_TRUE(warm.converged());
-  EXPECT_LT(warm.stats.iterations, cold.stats.iterations);
-  // Fields are O(300..600) K solved to relTol 1e-8: different CG
-  // trajectories agree to ~1e-4 K absolute, not exactly.
-  for (std::size_t v = 0; v < warm.temperature.size(); ++v) {
-    EXPECT_NEAR(warm.temperature[v], cold.temperature[v], 5e-4);
   }
 }
 

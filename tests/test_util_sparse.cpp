@@ -6,6 +6,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/fvstencil.hpp"
+#include "util/multigrid.hpp"
 #include "util/rng.hpp"
 #include "util/spmv.hpp"
 
@@ -225,105 +227,74 @@ TEST(SpMvKernel, MultiplyIntoMatchesReferenceEntryPoint) {
   EXPECT_EQ(yFast, yRef);  // bit-identical
 }
 
-// ---- SpGemm / transpose plans ----------------------------------------------
+// ---- row-parallel SpGEMM ------------------------------------------------------
 
-/// Stamp the same random structure with values scaled by \p scale: re-runs
-/// produce structurally identical matrices whose values differ -- the
-/// frozen-hierarchy rebuild shape the plans exist for.
-SparseMatrix stampScaled(std::size_t rows, std::size_t cols, int entries,
-                         double scale, unsigned seed) {
-  Rng rng(seed);
-  TripletBuilder b(rows, cols);
-  for (int k = 0; k < entries; ++k) {
-    b.add(rng.uniformInt(rows), rng.uniformInt(cols),
-          scale * rng.uniform(-1.0, 1.0));
+/// CSR arrays of a product, as the serial oracle produces them.
+struct CsrArrays {
+  std::vector<std::size_t> rowPtr;
+  std::vector<std::size_t> colIdx;
+  std::vector<double> values;
+};
+
+/// Oracle for the row-blocked multiplySparseInto: the Gustavson loop over
+/// all rows on one thread, with one dense accumulator, a row-stamp marker
+/// for first touches and column-sorted output rows.
+CsrArrays serialGustavson(const SparseMatrix& a, const SparseMatrix& b) {
+  CsrArrays out;
+  out.rowPtr.assign(a.rows() + 1, 0);
+  constexpr std::size_t kNever = static_cast<std::size_t>(-1);
+  std::vector<double> acc(b.cols(), 0.0);
+  std::vector<std::size_t> lastRow(b.cols(), kNever);
+  std::vector<std::size_t> touched;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    touched.clear();
+    for (std::size_t ka = a.rowPtr()[r]; ka < a.rowPtr()[r + 1]; ++ka) {
+      const std::size_t mid = a.colIdx()[ka];
+      const double av = a.values()[ka];
+      for (std::size_t kb = b.rowPtr()[mid]; kb < b.rowPtr()[mid + 1]; ++kb) {
+        const std::size_t col = b.colIdx()[kb];
+        if (lastRow[col] != r) {
+          lastRow[col] = r;
+          acc[col] = 0.0;
+          touched.push_back(col);
+        }
+        acc[col] += av * b.values()[kb];
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    for (const std::size_t col : touched) {
+      out.colIdx.push_back(col);
+      out.values.push_back(acc[col]);
+    }
+    out.rowPtr[r + 1] = out.colIdx.size();
   }
-  return SparseMatrix::fromTriplets(b);
+  return out;
 }
 
-TEST(SpGemmPlan, RefillBitIdenticalToFreshSpGemm) {
-  const auto a1 = stampScaled(40, 30, 220, 1.0, 5);
-  const auto b1 = stampScaled(30, 35, 200, 1.0, 6);
-  SpGemmPlan plan;
-  SparseMatrix c;
-  plan.multiply(a1, b1, c);
-  EXPECT_FALSE(plan.lastWasRefill());
-  EXPECT_EQ(plan.symbolicCount(), 1u);
+TEST(SpGemm, GalerkinProductsBitIdenticalToSerialOracle) {
+  // A 32^3 FV operator has 32,768 rows: past the row-parallel threshold, so
+  // on a host with >= 2 cores A * P splits its rows over the shared pool.
+  // Every row is accumulated in the serial loop's order, so the joined CSR
+  // arrays must equal the oracle's exactly for both Galerkin products.
+  const std::size_t m = 32;
+  const std::size_t mc = m / 2;
+  const SparseMatrix a = makeSteadyFvOperator3d(m, 2.0);
+  const SparseMatrix p = buildTrilinearProlongation(m, m, m, mc, mc, mc);
+  const SparseMatrix r = p.transposed();
 
-  // Same structures, new values: the refill must be bit-identical to a
-  // fresh Gustavson product (it replays the same accumulation order).
-  const auto a2 = stampScaled(40, 30, 220, 1.7, 5);
-  const auto b2 = stampScaled(30, 35, 200, -0.3, 6);
-  ASSERT_EQ(a2.colIdx(), a1.colIdx());  // harness sanity: structure reused
-  const double* valuesPtr = c.values().data();
-  plan.multiply(a2, b2, c);
-  EXPECT_TRUE(plan.lastWasRefill());
-  EXPECT_EQ(plan.symbolicCount(), 1u);
-  EXPECT_EQ(c.values().data(), valuesPtr);  // no reallocation
+  const SparseMatrix ap = multiplySparse(a, p);
+  const CsrArrays apRef = serialGustavson(a, p);
+  EXPECT_EQ(ap.rowPtr(), apRef.rowPtr);
+  EXPECT_EQ(ap.colIdx(), apRef.colIdx);
+  EXPECT_EQ(ap.values(), apRef.values);  // bit-identical
 
-  const SparseMatrix fresh = multiplySparse(a2, b2);
-  EXPECT_EQ(c.rowPtr(), fresh.rowPtr());
-  EXPECT_EQ(c.colIdx(), fresh.colIdx());
-  EXPECT_EQ(c.values(), fresh.values());  // bit-identical
-}
-
-TEST(SpGemmPlan, StructureChangeFallsBackToSymbolic) {
-  SpGemmPlan plan;
-  SparseMatrix c;
-  plan.multiply(stampScaled(20, 20, 80, 1.0, 9), stampScaled(20, 20, 80, 1.0, 10),
-                c);
-  const auto aNew = stampScaled(20, 20, 95, 1.0, 11);  // different pattern
-  const auto bNew = stampScaled(20, 20, 80, 1.0, 10);
-  plan.multiply(aNew, bNew, c);
-  EXPECT_FALSE(plan.lastWasRefill());
-  EXPECT_EQ(plan.symbolicCount(), 2u);
-  const SparseMatrix fresh = multiplySparse(aNew, bNew);
-  EXPECT_EQ(c.colIdx(), fresh.colIdx());
-  EXPECT_EQ(c.values(), fresh.values());
-
-  // A fresh output matrix fed to a matching plan gets the cached structure
-  // copied in (the SparsityPattern::assemble contract).
-  SparseMatrix other;
-  plan.multiply(aNew, bNew, other);
-  EXPECT_TRUE(plan.lastWasRefill());
-  EXPECT_EQ(other.colIdx(), fresh.colIdx());
-  EXPECT_EQ(other.values(), fresh.values());
-}
-
-TEST(SpGemmPlan, ShapeMismatchThrows) {
-  SpGemmPlan plan;
-  SparseMatrix c;
-  EXPECT_THROW(plan.multiply(stampScaled(4, 3, 6, 1.0, 1),
-                             stampScaled(2, 2, 3, 1.0, 2), c),
-               std::invalid_argument);
-}
-
-TEST(TransposePlan, RefillBitIdenticalToTransposed) {
-  TransposePlan plan;
-  SparseMatrix t;
-  const auto a1 = stampScaled(25, 40, 160, 1.0, 21);
-  plan.transpose(a1, t);
-  EXPECT_FALSE(plan.lastWasRefill());
-  EXPECT_EQ(plan.symbolicCount(), 1u);
-
-  const auto a2 = stampScaled(25, 40, 160, 2.5, 21);  // values changed only
-  const double* valuesPtr = t.values().data();
-  plan.transpose(a2, t);
-  EXPECT_TRUE(plan.lastWasRefill());
-  EXPECT_EQ(plan.symbolicCount(), 1u);
-  EXPECT_EQ(t.values().data(), valuesPtr);  // no reallocation
-  const SparseMatrix fresh = a2.transposed();
-  EXPECT_EQ(t.rowPtr(), fresh.rowPtr());
-  EXPECT_EQ(t.colIdx(), fresh.colIdx());
-  EXPECT_EQ(t.values(), fresh.values());  // bit-identical
-
-  const auto aWider = stampScaled(25, 40, 200, 1.0, 22);  // new structure
-  plan.transpose(aWider, t);
-  EXPECT_FALSE(plan.lastWasRefill());
-  EXPECT_EQ(plan.symbolicCount(), 2u);
-  const SparseMatrix freshWider = aWider.transposed();
-  EXPECT_EQ(t.colIdx(), freshWider.colIdx());
-  EXPECT_EQ(t.values(), freshWider.values());
+  // Refilling a product that already holds data must not leak old entries.
+  SparseMatrix rap = ap;
+  multiplySparseInto(r, ap, rap);
+  const CsrArrays rapRef = serialGustavson(r, ap);
+  EXPECT_EQ(rap.rowPtr(), rapRef.rowPtr);
+  EXPECT_EQ(rap.colIdx(), rapRef.colIdx);
+  EXPECT_EQ(rap.values(), rapRef.values);
 }
 
 }  // namespace
