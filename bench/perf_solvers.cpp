@@ -247,47 +247,6 @@ BENCHMARK(BM_GmgHierarchySetup)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
-/// Warm-started sweep re-solve: the steady FV system solved to convergence,
-/// then re-solved after a small load change, starting CG from the previous
-/// field vs from zero (arg: 0 = cold, 1 = warm) -- the state the coupled
-/// alpha extraction's chained voltage sweep runs in.
-void BM_CgWarmStartResolve(benchmark::State& state) {
-  const std::size_t m = 32;
-  const std::size_t n = m * m * m;
-  const auto matrix = nh::util::makeSteadyFvOperator3d(m, 2.0);
-  nh::util::CgWorkspace workspace;
-  nh::util::CgOptions options;
-  options.relTol = 1e-8;
-  options.maxIter = 50000;
-  options.preconditioner = nh::util::CgPreconditioner::IncompleteCholesky;
-
-  // Converged base field for load 1.0.
-  nh::util::Vector b(n, 1e-6);
-  nh::util::Vector base(n, 0.0);
-  nh::util::solveConjugateGradient(matrix, b, base, options, &workspace);
-  options.reusePreconditioner = true;
-  // The next sweep point: 5% more power.
-  nh::util::Vector bNext = b;
-  for (auto& v : bNext) v *= 1.05;
-
-  const bool warm = state.range(0) == 1;
-  std::size_t iterations = 0;
-  nh::util::Vector x;
-  for (auto _ : state) {
-    if (warm) {
-      x = base;
-    } else {
-      x.assign(n, 0.0);
-    }
-    const auto result =
-        nh::util::solveConjugateGradient(matrix, bNext, x, options, &workspace);
-    iterations = result.iterations;
-    benchmark::DoNotOptimize(x);
-  }
-  state.counters["cg_iterations"] = static_cast<double>(iterations);
-}
-BENCHMARK(BM_CgWarmStartResolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 void BM_JartConduction(benchmark::State& state) {
   const nh::jart::Model model(nh::jart::Params::paperDefaults());
   double n = 1e25;

@@ -238,12 +238,11 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
 
 /// Hash every field that participates in StudyConfig::operator== -- the
 /// digest must distinguish any two configs the study-dedup cache would
-/// (hashing only a subset would make configs differing in e.g. femOptions
-/// or engine options collide). Keep this list in sync when StudyConfig or
+/// (hashing only a subset would make configs differing in e.g. engine
+/// options collide). Keep this list in sync when StudyConfig or
 /// its nested structs grow fields.
 std::uint64_t hashStudyConfig(std::uint64_t h, const StudyConfig& c) {
   const jart::Params& p = c.cellParams;
-  const fem::DiffusionOptions& f = c.femOptions;
   const xbar::FastEngineOptions& e = c.engineOptions;
   const DetectorConfig& d = c.detector;
   const double fields[] = {
@@ -256,10 +255,11 @@ std::uint64_t hashStudyConfig(std::uint64_t h, const StudyConfig& c) {
       p.activationEnergySet, p.activationEnergyReset, p.kineticPrefactorSet,
       p.kineticPrefactorReset, p.hopDistance, p.chargeNumber,
       p.fieldEnhancement, p.windowExponent,
-      // fem::DiffusionOptions
-      f.relTol, static_cast<double>(f.maxIterations),
-      static_cast<double>(f.preconditioner),
-      static_cast<double>(f.multigridMinVoxels),
+      // Retired FEM solver knobs (the fem::DiffusionOptions defaults relTol
+      // 1e-8, maxIterations 20000, preconditioner IncompleteCholesky = 1,
+      // multigridMinVoxels 32768), hashed as constants like the Schur knobs
+      // below.
+      1e-8, 20000.0, 1.0, 32768.0,
       // xbar::FastEngineOptions
       static_cast<double>(e.substepsPerPulse), e.solveLineNetwork ? 1.0 : 0.0,
       e.relaxBetweenPulses ? 1.0 : 0.0, e.enableBatching ? 1.0 : 0.0,

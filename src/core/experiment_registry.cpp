@@ -1387,7 +1387,7 @@ ExperimentSpec fig2aMatrixSpec() {
   spec.name = "fig2a_thermal_matrix";
   spec.title = "Fig. 2a -- thermal coupling in a 5x5 memristive crossbar";
   spec.description =
-      "FEM solve (Eq. 1/2 discretised), electrode spacing 50 nm, T0 = 300 K";
+      "FEM solve (Eq. 1 discretised), electrode spacing 50 nm, T0 = 300 K";
   spec.paperShape =
       "centre cell ~947 K >> same-word-line neighbours > bit-line "
       "neighbours > diagonal > far corners (~320 K)";

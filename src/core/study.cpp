@@ -31,12 +31,11 @@ AttackStudy::AttackStudy(StudyConfig config) : config_(std::move(config)) {
     layout.voxelSize = config_.femVoxelSize;
     const auto model = fem::CrossbarModel3D::build(layout);
     // Power sweep bracketing the hammered cell's dissipation (~0.1 mW).
-    // extractAlpha fills the sweep from one unit-power solve, and femOptions
-    // picks its preconditioner -- on fine-voxel grids the solve runs
-    // GMG-preconditioned CG.
+    // extractAlpha fills the sweep from one unit-power solve; on fine-voxel
+    // grids that solve runs GMG-preconditioned CG.
     const auto extraction = fem::extractAlpha(
         model, fem::MaterialTable::defaults(), config_.rows / 2, config_.cols / 2,
-        {0.05e-3, 0.10e-3, 0.15e-3}, config_.ambientK, config_.femOptions);
+        {0.05e-3, 0.10e-3, 0.15e-3}, config_.ambientK);
     alphas_ = xbar::AlphaTable::fromExtraction(extraction);
     nh::util::logInfo("AttackStudy: FEM alphas extracted, Rth=", extraction.rTh,
                       " K/W, nearest alpha=", alphas_.at(0, 1));

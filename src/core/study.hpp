@@ -28,13 +28,11 @@ struct StudyConfig {
   /// paper). The analytic table was itself fitted to these extractions.
   bool useFemAlphas = false;
   /// Voxel size for the FEM extraction [m]. Finer voxels mean larger FV
-  /// systems; at >= DiffusionOptions::multigridMinVoxels voxels the
-  /// extraction's CG solve auto-upgrades to the geometric-multigrid
-  /// preconditioner, which keeps iteration counts grid-size independent.
+  /// systems; the extraction's single unit-power solve runs with the default
+  /// fem::DiffusionOptions, which upgrade its CG preconditioner to geometric
+  /// multigrid on large grids and keep iteration counts grid-size
+  /// independent.
   double femVoxelSize = 5e-9;
-  /// Solver controls (tolerances, preconditioner, multigrid upgrade
-  /// threshold) for the FEM extraction's single unit-power solve.
-  fem::DiffusionOptions femOptions;
   xbar::FastEngineOptions engineOptions;
   DetectorConfig detector;
 

@@ -8,7 +8,7 @@ namespace nh::fem {
 
 namespace {
 
-/// Shared regression step: given powers and temperature matrices, fit Eq. 3
+/// Regression step: given powers and temperature matrices, fit Eq. 3
 /// on the selected cell and Eq. 4 on every other cell.
 void fitAlphas(AlphaResult& result) {
   const std::size_t rows = result.temperatureMatrices.front().rows();
@@ -100,64 +100,6 @@ AlphaResult extractAlpha(const CrossbarModel3D& model,
       }
     }
     result.temperatureMatrices.push_back(std::move(t));
-  }
-
-  fitAlphas(result);
-  return result;
-}
-
-AlphaResult extractAlphaCoupled(const CrossbarModel3D& model,
-                                const MaterialTable& materials,
-                                std::size_t selectedRow, std::size_t selectedCol,
-                                const std::vector<double>& setVoltages,
-                                double lrsSigma, double hrsSigma, double ambientK,
-                                const DiffusionOptions& options) {
-  const auto& layout = model.layout();
-  if (selectedRow >= layout.rows || selectedCol >= layout.cols) {
-    throw std::out_of_range("extractAlphaCoupled: selected cell out of range");
-  }
-  if (setVoltages.size() < 2) {
-    throw std::invalid_argument("extractAlphaCoupled: need >= 2 voltage points");
-  }
-
-  AlphaResult result;
-  result.selectedRow = selectedRow;
-  result.selectedCol = selectedCol;
-  result.ambientK = ambientK;
-
-  // Shared solver: both diffusion systems (potential + heat) keep their
-  // cached assemblies across the voltage sweep, and each voltage point
-  // warm-starts its CG iterations from the previous point's fields. The
-  // sweep is a single serial chain, so results are independent of any
-  // caller-side threading.
-  CoupledSolver solver;
-  CoupledSolution previous;
-  bool havePrevious = false;
-  for (const double vSet : setVoltages) {
-    CoupledScenario scenario;
-    scenario.model = &model;
-    scenario.materials = materials;
-    scenario.ambientK = ambientK;
-    // V/2 scheme: selected word line at V, selected bit line at 0, all other
-    // lines at V/2 (paper Sec. V).
-    scenario.wordLineVoltage.assign(layout.rows, vSet / 2.0);
-    scenario.bitLineVoltage.assign(layout.cols, vSet / 2.0);
-    scenario.wordLineVoltage[selectedRow] = vSet;
-    scenario.bitLineVoltage[selectedCol] = 0.0;
-    // Selected cell in LRS ("switched to LRS to maximize the resulting
-    // current"), every other cell HRS.
-    scenario.cellSigma = nh::util::Matrix(layout.rows, layout.cols, hrsSigma);
-    scenario.cellSigma(selectedRow, selectedCol) = lrsSigma;
-
-    CoupledSolution sol =
-        solver.solve(scenario, options, havePrevious ? &previous : nullptr);
-    if (!sol.converged()) {
-      throw std::runtime_error("extractAlphaCoupled: solve did not converge");
-    }
-    result.powers.push_back(sol.cellPower(selectedRow, selectedCol));
-    result.temperatureMatrices.push_back(sol.cellTemperature);
-    previous = std::move(sol);
-    havePrevious = true;
   }
 
   fitAlphas(result);

@@ -9,9 +9,9 @@
 /// The heat equation is linear (constant conductivities, Dirichlet ambient),
 /// so T(P) = T0 + P * G: extractAlpha solves once for the 1 W rise G and
 /// fills every power point from it, which makes R^2 of its fits 1 by
-/// construction. The fits still run, shared with extractAlphaCoupled, and
-/// report the paper's quantities; the paper's per-power-point solves plus
-/// regression live on as the test oracle for the superposition.
+/// construction. The fits still run and report the paper's quantities; the
+/// paper's per-power-point solves plus regression live on as the test
+/// oracle for the superposition.
 
 #include <vector>
 
@@ -42,22 +42,11 @@ struct AlphaResult {
 };
 
 /// Extract Rth and the alpha matrix for the selected cell's dissipated
-/// \p powers (prescribed-power mode; heat equation only): one thermal solve
-/// per call, whatever the number of power points. Powers must be finite
-/// and non-negative.
+/// \p powers: one thermal solve per call, whatever the number of power
+/// points. Powers must be finite and non-negative.
 AlphaResult extractAlpha(const CrossbarModel3D& model,
                          const MaterialTable& materials, std::size_t selectedRow,
                          std::size_t selectedCol, const std::vector<double>& powers,
                          double ambientK, const DiffusionOptions& options = {});
-
-/// Extract via the coupled flow (closer to the paper: a V_SET voltage sweep
-/// on the selected LRS cell under the V/2 scheme; P = dissipated power of
-/// the selected cell from the potential solve).
-AlphaResult extractAlphaCoupled(const CrossbarModel3D& model,
-                                const MaterialTable& materials,
-                                std::size_t selectedRow, std::size_t selectedCol,
-                                const std::vector<double>& setVoltages,
-                                double lrsSigma, double hrsSigma, double ambientK,
-                                const DiffusionOptions& options = {});
 
 }  // namespace nh::fem

@@ -5,104 +5,17 @@
 
 namespace nh::fem {
 
-namespace {
-
-/// Harmonic mean of two face coefficients (consistent FV flux across
-/// material discontinuities); zero when either side is zero.
-double faceCoefficient(double a, double b) {
-  if (a <= 0.0 || b <= 0.0) return 0.0;
-  return 2.0 * a * b / (a + b);
-}
-
-/// Sentinel for "voxel is pinned".
-constexpr std::size_t kPinned = static_cast<std::size_t>(-1);
-
-struct Indexer {
-  std::vector<std::size_t> toFree;   ///< voxel -> free index or kPinned.
-  std::vector<std::size_t> toVoxel;  ///< free index -> voxel.
-  std::vector<double> pinValue;      ///< per-voxel pin value (valid when pinned).
-  std::vector<bool> pinned;          ///< per-voxel pinned flag.
-
-  /// (Re)build for \p p, reusing this object's storage.
-  void build(const DiffusionProblem& p) {
-    const std::size_t n = p.grid->voxelCount();
-    toFree.assign(n, 0);
-    pinValue.assign(n, 0.0);
-    pinned.assign(n, false);
-    for (const auto& pin : p.pins) {
-      if (pin.voxel >= n) throw std::out_of_range("DiffusionProblem: pin out of range");
-      if (pinned[pin.voxel] && pinValue[pin.voxel] != pin.value) {
-        throw std::invalid_argument("DiffusionProblem: conflicting pin values");
-      }
-      pinned[pin.voxel] = true;
-      pinValue[pin.voxel] = pin.value;
-    }
-    toVoxel.clear();
-    toVoxel.reserve(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      if (pinned[v]) {
-        toFree[v] = kPinned;
-      } else {
-        toFree[v] = toVoxel.size();
-        toVoxel.push_back(v);
-      }
-    }
-  }
-};
-
-/// Apply a function to each (neighbour, faceConductance) of voxel (i,j,k).
-/// The face conductance for cubic voxels of edge h is c_face * h (area h^2
-/// over distance h). Faces with zero conductance are visited too (g == 0):
-/// the assembly stamps them as explicit zeros so the sparsity structure
-/// depends only on the grid, never on the coefficient field.
-template <typename Fn>
-void forEachNeighbour(const VoxelGrid& grid, const std::vector<double>& coef,
-                      std::size_t i, std::size_t j, std::size_t k, Fn&& fn) {
-  const double h = grid.voxelSize();
-  const std::size_t v = grid.index(i, j, k);
-  const double cv = coef[v];
-  const auto visit = [&](std::size_t ni, std::size_t nj, std::size_t nk) {
-    const std::size_t nv = grid.index(ni, nj, nk);
-    fn(nv, faceCoefficient(cv, coef[nv]) * h);
-  };
-  if (i > 0) visit(i - 1, j, k);
-  if (i + 1 < grid.nx()) visit(i + 1, j, k);
-  if (j > 0) visit(i, j - 1, k);
-  if (j + 1 < grid.ny()) visit(i, j + 1, k);
-  if (k > 0) visit(i, j, k - 1);
-  if (k + 1 < grid.nz()) visit(i, j, k + 1);
-}
-
-void validateProblem(const DiffusionProblem& p) {
-  if (p.grid == nullptr) throw std::invalid_argument("DiffusionProblem: null grid");
-  const std::size_t n = p.grid->voxelCount();
-  if (p.coefficient.size() != n) {
-    throw std::invalid_argument("DiffusionProblem: coefficient size mismatch");
-  }
-  if (!p.sourcePerVoxel.empty() && p.sourcePerVoxel.size() != n) {
-    throw std::invalid_argument("DiffusionProblem: source size mismatch");
-  }
-  if (!p.bottomPlaneDirichlet && p.pins.empty()) {
-    throw std::invalid_argument(
-        "DiffusionProblem: pure-Neumann problem is singular; add a Dirichlet "
-        "plane or pins");
-  }
-}
-
-}  // namespace
-
 nh::util::CgOptions toCgOptions(const DiffusionOptions& options,
-                                std::size_t gridNx, std::size_t gridNy,
-                                std::size_t gridNz) {
+                                const VoxelGrid& grid) {
   nh::util::CgOptions cg;
   cg.relTol = options.relTol;
   cg.maxIter = options.maxIterations;
   cg.preconditioner = options.preconditioner;
-  cg.gridNx = gridNx;
-  cg.gridNy = gridNy;
-  cg.gridNz = gridNz;
-  const std::size_t voxels = gridNx * gridNy * gridNz;
-  if (options.multigridMinVoxels > 0 && voxels >= options.multigridMinVoxels &&
+  cg.gridNx = grid.nx();
+  cg.gridNy = grid.ny();
+  cg.gridNz = grid.nz();
+  if (options.multigridMinVoxels > 0 &&
+      grid.voxelCount() >= options.multigridMinVoxels &&
       options.preconditioner ==
           nh::util::CgPreconditioner::IncompleteCholesky) {
     cg.preconditioner = nh::util::CgPreconditioner::Multigrid;
@@ -110,199 +23,114 @@ nh::util::CgOptions toCgOptions(const DiffusionOptions& options,
   return cg;
 }
 
-struct DiffusionSolver::State {
-  // ---- structural cache key -------------------------------------------------
-  // The FV adjacency is a pure function of the grid *dimensions* plus the
-  // pin locations (a grid pointer would falsely match a different grid
-  // reusing the same address; voxelCount alone matches permuted dims).
-  std::size_t nx = 0, ny = 0, nz = 0;
-  bool bottomDirichlet = false;
-  std::vector<std::size_t> pinVoxels;  ///< pin locations, in problem order.
-  bool structureValid = false;
-
-  // ---- reusable assembly + solve workspace ----------------------------------
-  Indexer idx;
-  nh::util::TripletBuilder builder{0, 0};
-  nh::util::SparsityPattern pattern;
-  nh::util::SparseMatrix matrix;
-  nh::util::Vector rhs;
-  nh::util::Vector x;
-  nh::util::CgWorkspace cg;
-  /// Matrix values of the previous solve: when a re-assembly reproduces
-  /// them bit-for-bit (sweeps that only change sources or pin values), the
-  /// cached preconditioner -- IC(0) factor or multigrid hierarchy -- is
-  /// still exact and is reused instead of rebuilt.
-  std::vector<double> lastValues;
-
-  bool structureMatches(const DiffusionProblem& p) const {
-    if (!structureValid || p.grid->nx() != nx || p.grid->ny() != ny ||
-        p.grid->nz() != nz || p.bottomPlaneDirichlet != bottomDirichlet ||
-        p.pins.size() != pinVoxels.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < p.pins.size(); ++i) {
-      if (p.pins[i].voxel != pinVoxels[i]) return false;
-    }
-    return true;
-  }
-
-  void captureStructure(const DiffusionProblem& p) {
-    nx = p.grid->nx();
-    ny = p.grid->ny();
-    nz = p.grid->nz();
-    bottomDirichlet = p.bottomPlaneDirichlet;
-    pinVoxels.clear();
-    pinVoxels.reserve(p.pins.size());
-    for (const auto& pin : p.pins) pinVoxels.push_back(pin.voxel);
-    structureValid = true;
-  }
-};
-
-DiffusionSolver::DiffusionSolver() : state_(std::make_unique<State>()) {}
-DiffusionSolver::~DiffusionSolver() = default;
-DiffusionSolver::DiffusionSolver(DiffusionSolver&&) noexcept = default;
-DiffusionSolver& DiffusionSolver::operator=(DiffusionSolver&&) noexcept = default;
-
-DiffusionSolution DiffusionSolver::solve(const DiffusionProblem& problem,
-                                         const DiffusionOptions& options,
-                                         const std::vector<double>* initialGuess) {
-  validateProblem(problem);
-  State& s = *state_;
-  const VoxelGrid& grid = *problem.grid;
+bool HeatOperator::assemble(const VoxelGrid& grid,
+                            const std::vector<double>& coefficient,
+                            const std::vector<double>* extraDiagonal,
+                            double bottomValue,
+                            std::vector<double>& boundaryRhs) {
   const std::size_t n = grid.voxelCount();
-  const double h = grid.voxelSize();
-
-  const bool reuseStructure = s.structureMatches(problem);
-  // The indexer is rebuilt every solve (pin *values* may change); with a
-  // structural match this touches only preallocated storage.
-  s.idx.build(problem);
-  const std::size_t nFree = s.idx.toVoxel.size();
-
-  if (!reuseStructure || s.builder.rows() != nFree) {
-    s.builder = nh::util::TripletBuilder(nFree, nFree);
-  } else {
-    s.builder.clear();
+  if (coefficient.size() != n) {
+    throw std::invalid_argument("HeatOperator: coefficient size mismatch");
   }
-  if (s.rhs.size() != nFree) s.rhs.assign(nFree, 0.0);
-  std::fill(s.rhs.begin(), s.rhs.end(), 0.0);
-
-  // Numeric stamp: one identical (row, col) sequence per structure, values
-  // free to change -- the contract SparsityPattern::assemble relies on.
-  for (std::size_t f = 0; f < nFree; ++f) {
-    const std::size_t v = s.idx.toVoxel[f];
-    const auto vox = grid.voxel(v);
-    double diag = 0.0;
-
-    forEachNeighbour(grid, problem.coefficient, vox.i, vox.j, vox.k,
-                     [&](std::size_t nv, double g) {
-                       diag += g;
-                       if (s.idx.toFree[nv] == kPinned) {
-                         s.rhs[f] += g * s.idx.pinValue[nv];
-                       } else {
-                         s.builder.add(f, s.idx.toFree[nv], -g);
-                       }
-                     });
-
-    // Dirichlet bottom plane: half-cell distance to the boundary face.
-    if (problem.bottomPlaneDirichlet && vox.k == 0) {
-      const double g = 2.0 * problem.coefficient[v] * h;
-      diag += g;
-      s.rhs[f] += g * problem.bottomPlaneValue;
+  if (extraDiagonal != nullptr && extraDiagonal->size() != n) {
+    throw std::invalid_argument("HeatOperator: extra diagonal size mismatch");
+  }
+  for (const double c : coefficient) {
+    if (!std::isfinite(c) || !(c > 0.0)) {
+      throw std::invalid_argument(
+          "HeatOperator: coefficient must be finite and > 0");
     }
-
-    if (!problem.sourcePerVoxel.empty()) s.rhs[f] += problem.sourcePerVoxel[v];
-    // Tiny diagonal shift keeps voxels fully surrounded by zero-coefficient
-    // material (e.g. oxide voxels in a potential solve) well-defined.
-    s.builder.add(f, f, diag + 1e-30);
   }
 
-  if (!reuseStructure) {
-    s.pattern = nh::util::SparsityPattern::fromTriplets(s.builder);
-    s.captureStructure(problem);
-    s.lastValues.clear();
-  }
-  s.pattern.assemble(s.builder, s.matrix);
-  // O(nnz) value comparison: frozen-operator sweep points skip the
-  // preconditioner rebuild (the dominant cost of a multigrid solve).
-  const bool sameOperator =
-      reuseStructure && s.matrix.values() == s.lastValues;
-  if (!sameOperator) s.lastValues = s.matrix.values();
-
-  if (s.x.size() != nFree) s.x.resize(nFree);
-  if (initialGuess != nullptr && initialGuess->size() == n) {
-    for (std::size_t f = 0; f < nFree; ++f) s.x[f] = (*initialGuess)[s.idx.toVoxel[f]];
-  } else if (problem.bottomPlaneDirichlet) {
-    std::fill(s.x.begin(), s.x.end(), problem.bottomPlaneValue);
+  const bool reuse = nx_ > 0 && grid.nx() == nx_ && grid.ny() == ny_ &&
+                     grid.nz() == nz_;
+  if (reuse) {
+    builder_.clear();
   } else {
-    std::fill(s.x.begin(), s.x.end(), 0.0);
+    builder_ = nh::util::TripletBuilder(n, n);
   }
+  boundaryRhs.assign(n, 0.0);
 
-  // Pin-free systems cover the whole structured grid, so the Multigrid
-  // preconditioner is applicable (pinned systems eliminate voxels, leaving
-  // an irregular index set GMG cannot coarsen -- its internal fallback to
-  // IC(0) covers explicit Multigrid requests there; zero dims disable it).
-  nh::util::CgOptions cgOptions =
-      problem.pins.empty()
-          ? toCgOptions(options, grid.nx(), grid.ny(), grid.nz())
-          : toCgOptions(options, 0, 0, 0);
-  cgOptions.reusePreconditioner = sameOperator;
-
-  DiffusionSolution solution;
-  solution.stats =
-      nh::util::solveConjugateGradient(s.matrix, s.rhs, s.x, cgOptions, &s.cg);
-
-  solution.field.assign(n, 0.0);
-  for (std::size_t v = 0; v < n; ++v) {
-    solution.field[v] =
-        s.idx.toFree[v] == kPinned ? s.idx.pinValue[v] : s.x[s.idx.toFree[v]];
-  }
-  return solution;
-}
-
-DiffusionSolution solveDiffusion(const DiffusionProblem& problem,
-                                 const DiffusionOptions& options,
-                                 const std::vector<double>* initialGuess) {
-  DiffusionSolver solver;
-  return solver.solve(problem, options, initialGuess);
-}
-
-double DiffusionSolution::fluxFromPins(const DiffusionProblem& problem,
-                                       const std::vector<std::size_t>& pinVoxels) const {
-  const VoxelGrid& grid = *problem.grid;
-  std::vector<bool> inSet(grid.voxelCount(), false);
-  for (const std::size_t v : pinVoxels) inSet[v] = true;
-
-  double flux = 0.0;
-  for (const std::size_t v : pinVoxels) {
-    const auto vox = grid.voxel(v);
-    forEachNeighbour(grid, problem.coefficient, vox.i, vox.j, vox.k,
-                     [&](std::size_t nv, double g) {
-                       if (!inSet[nv]) flux += g * (field[v] - field[nv]);
-                     });
-  }
-  return flux;
-}
-
-std::vector<double> DiffusionSolution::dissipationPerVoxel(
-    const DiffusionProblem& problem) const {
-  const VoxelGrid& grid = *problem.grid;
-  std::vector<double> power(grid.voxelCount(), 0.0);
+  // Numeric stamp: one identical (row, col) sequence per grid shape, values
+  // free to change -- the contract SparsityPattern::assemble relies on. The
+  // face conductance for cubic voxels of edge h is the harmonic-mean face
+  // coefficient (area h^2 over distance h) times h.
+  const double h = grid.voxelSize();
   for (std::size_t k = 0; k < grid.nz(); ++k) {
     for (std::size_t j = 0; j < grid.ny(); ++j) {
       for (std::size_t i = 0; i < grid.nx(); ++i) {
         const std::size_t v = grid.index(i, j, k);
-        forEachNeighbour(grid, problem.coefficient, i, j, k,
-                         [&](std::size_t nv, double g) {
-                           if (nv < v) return;  // visit each face once
-                           const double dU = field[v] - field[nv];
-                           const double p = g * dU * dU;
-                           power[v] += 0.5 * p;
-                           power[nv] += 0.5 * p;
-                         });
+        const double cv = coefficient[v];
+        double diag = extraDiagonal != nullptr ? (*extraDiagonal)[v] : 0.0;
+        const auto visit = [&](std::size_t nv) {
+          const double cn = coefficient[nv];
+          const double g = 2.0 * cv * cn / (cv + cn) * h;
+          diag += g;
+          builder_.add(v, nv, -g);
+        };
+        if (i > 0) visit(grid.index(i - 1, j, k));
+        if (i + 1 < grid.nx()) visit(grid.index(i + 1, j, k));
+        if (j > 0) visit(grid.index(i, j - 1, k));
+        if (j + 1 < grid.ny()) visit(grid.index(i, j + 1, k));
+        if (k > 0) visit(grid.index(i, j, k - 1));
+        if (k + 1 < grid.nz()) visit(grid.index(i, j, k + 1));
+        if (k == 0) {  // Dirichlet bottom: half-cell distance to the face
+          const double g = 2.0 * cv * h;
+          diag += g;
+          boundaryRhs[v] += g * bottomValue;
+        }
+        builder_.add(v, v, diag);
       }
     }
   }
-  return power;
+
+  if (!reuse) {
+    pattern_ = nh::util::SparsityPattern::fromTriplets(builder_);
+    nx_ = grid.nx();
+    ny_ = grid.ny();
+    nz_ = grid.nz();
+  }
+  pattern_.assemble(builder_, matrix_);
+  return reuse;
+}
+
+DiffusionSolution DiffusionSolver::solve(const DiffusionProblem& problem,
+                                         const DiffusionOptions& options) {
+  if (problem.grid == nullptr) {
+    throw std::invalid_argument("DiffusionProblem: null grid");
+  }
+  const VoxelGrid& grid = *problem.grid;
+  const std::size_t n = grid.voxelCount();
+  if (!problem.sourcePerVoxel.empty() && problem.sourcePerVoxel.size() != n) {
+    throw std::invalid_argument("DiffusionProblem: source size mismatch");
+  }
+
+  const bool reuseStructure = operator_.assemble(
+      grid, problem.coefficient, nullptr, problem.bottomPlaneValue, rhs_);
+  if (!problem.sourcePerVoxel.empty()) {
+    for (std::size_t v = 0; v < n; ++v) rhs_[v] += problem.sourcePerVoxel[v];
+  }
+  // O(nnz) value comparison: frozen-operator sweep points skip the
+  // preconditioner rebuild (the dominant cost of a multigrid solve).
+  const nh::util::SparseMatrix& matrix = operator_.matrix();
+  const bool sameOperator = reuseStructure && matrix.values() == lastValues_;
+  if (!sameOperator) lastValues_ = matrix.values();
+
+  x_.assign(n, problem.bottomPlaneValue);
+  nh::util::CgOptions cgOptions = toCgOptions(options, grid);
+  cgOptions.reusePreconditioner = sameOperator;
+
+  DiffusionSolution solution;
+  solution.stats =
+      nh::util::solveConjugateGradient(matrix, rhs_, x_, cgOptions, &cg_);
+  solution.field = x_;
+  return solution;
+}
+
+DiffusionSolution solveDiffusion(const DiffusionProblem& problem,
+                                 const DiffusionOptions& options) {
+  DiffusionSolver solver;
+  return solver.solve(problem, options);
 }
 
 }  // namespace nh::fem

@@ -2,20 +2,16 @@
 
 #include <stdexcept>
 
-#include "util/units.hpp"
-
 namespace nh::fem {
 
 MaterialTable MaterialTable::defaults() {
   MaterialTable t;
   // Thin-film values (boundary scattering suppresses kappa vs bulk).
-  t.props(Material::SiSubstrate) = {"Si", 90.0, 1e-3};
-  t.props(Material::SiO2) = {"SiO2", 1.2, 1e-14};
-  t.props(Material::Electrode) = {"Pt", 40.0, 5.0e6};
-  t.props(Material::SwitchingOxide) = {"HfO2", 0.8, 1e-8};
-  // Filament defaults correspond to an LRS cell passing ~100 uA at ~1 V
-  // through a 30 nm x 5 nm plug; overridden per cell in coupled solves.
-  t.props(Material::Filament) = {"filament", 4.0, 1.5e5};
+  t.props(Material::SiSubstrate) = {"Si", 90.0};
+  t.props(Material::SiO2) = {"SiO2", 1.2};
+  t.props(Material::Electrode) = {"Pt", 40.0};
+  t.props(Material::SwitchingOxide) = {"HfO2", 0.8};
+  t.props(Material::Filament) = {"filament", 4.0};
   return t;
 }
 
@@ -29,10 +25,6 @@ MaterialProps& MaterialTable::props(Material m) {
   const auto i = static_cast<std::size_t>(m);
   if (i >= table_.size()) throw std::out_of_range("MaterialTable::props");
   return table_[i];
-}
-
-double MaterialTable::wiedemannFranz(double sigma, double temperatureK) {
-  return nh::util::kLorenzNumber * sigma * temperatureK;
 }
 
 }  // namespace nh::fem

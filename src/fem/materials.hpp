@@ -1,11 +1,8 @@
 #pragma once
 /// \file materials.hpp
 /// Material database for the 3-D crossbar model: thermal conductivity kappa
-/// [W m^-1 K^-1] and electrical conductivity sigma [S/m] per material. The
-/// filament conductivity is a per-simulation parameter ("the electric
-/// conductivity ... of the filament is adjusted so that a certain current
-/// flows through the device", paper Sec. IV-A); its thermal conductivity
-/// follows from the Wiedemann-Franz law.
+/// [W m^-1 K^-1] per material, the coefficient of the heat equation (paper
+/// Eq. 1).
 
 #include <array>
 #include <cstdint>
@@ -19,7 +16,7 @@ enum class Material : std::uint8_t {
   SiO2 = 1,          ///< Buried oxide / inter-line fill / capping.
   Electrode = 2,     ///< Pt word/bit lines.
   SwitchingOxide = 3,///< HfO2 cell oxide (off-filament region).
-  Filament = 4,      ///< Conducting filament (per-cell sigma).
+  Filament = 4,      ///< Conducting filament.
   Count = 5,
 };
 
@@ -27,7 +24,6 @@ enum class Material : std::uint8_t {
 struct MaterialProps {
   std::string name;
   double kappa = 0.0;  ///< Thermal conductivity [W m^-1 K^-1].
-  double sigma = 0.0;  ///< Electrical conductivity [S/m].
 };
 
 /// Lookup table Material -> properties.
@@ -43,11 +39,6 @@ class MaterialTable {
   MaterialProps& props(Material m);
 
   double kappa(Material m) const { return props(m).kappa; }
-  double sigma(Material m) const { return props(m).sigma; }
-
-  /// Wiedemann-Franz thermal conductivity for a metal-like conductor:
-  /// kappa = L * sigma * T.
-  static double wiedemannFranz(double sigma, double temperatureK);
 
  private:
   std::array<MaterialProps, static_cast<std::size_t>(Material::Count)> table_{};

@@ -49,27 +49,6 @@ double TransientSolution::riseTimeConstant(std::size_t index) const {
   return std::numeric_limits<double>::quiet_NaN();
 }
 
-struct ThermalTransientSolver::State {
-  // Structural cache key: the FV adjacency is a pure function of the grid
-  // dimensions (a pointer would falsely match a different grid reusing the
-  // same address; voxelCount alone would match permuted dimensions).
-  std::size_t nx = 0, ny = 0, nz = 0;
-  nh::util::TripletBuilder builder{0, 0};
-  nh::util::SparsityPattern pattern;
-  nh::util::SparseMatrix matrix;
-  nh::util::Vector kappa, cOverDt, steadyRhs, source, temperature, rhs;
-  nh::util::CgWorkspace cg;
-  DiffusionSolver steady;
-  DiffusionProblem steadyProblem;
-};
-
-ThermalTransientSolver::ThermalTransientSolver() : state_(std::make_unique<State>()) {}
-ThermalTransientSolver::~ThermalTransientSolver() = default;
-ThermalTransientSolver::ThermalTransientSolver(ThermalTransientSolver&&) noexcept =
-    default;
-ThermalTransientSolver& ThermalTransientSolver::operator=(
-    ThermalTransientSolver&&) noexcept = default;
-
 TransientSolution ThermalTransientSolver::solve(const TransientScenario& scenario,
                                                 const DiffusionOptions& options) {
   if (scenario.model == nullptr) {
@@ -78,81 +57,36 @@ TransientSolution ThermalTransientSolver::solve(const TransientScenario& scenari
   if (!(scenario.dt > 0.0) || !(scenario.tStop > scenario.dt)) {
     throw std::invalid_argument("solveThermalStep: need 0 < dt < tStop");
   }
+  if (!std::isfinite(scenario.power) || scenario.power < 0.0) {
+    throw std::invalid_argument("solveThermalStep: power must be finite and >= 0");
+  }
   const CrossbarModel3D& model = *scenario.model;
   const auto& layout = model.layout();
   const VoxelGrid& grid = model.grid();
   if (scenario.heatedRow >= layout.rows || scenario.heatedCol >= layout.cols) {
     throw std::out_of_range("solveThermalStep: heated cell out of range");
   }
-  State& s = *state_;
   const std::size_t n = grid.voxelCount();
   const double h = grid.voxelSize();
   const double voxelVolume = h * h * h;
 
-  // Assemble the steady FV operator A (same stamps as solveDiffusion, no
-  // pinned voxels; Dirichlet bottom plane) plus the capacity lump C/dt. The
-  // stamp sequence is fixed by the grid, so a repeated run refills the
-  // cached CSR structure in O(nnz) without sorting or allocating.
-  s.kappa.resize(n);
-  s.cOverDt.resize(n);
+  // The steady FV operator A (Dirichlet ambient at the substrate bottom)
+  // plus the capacity lump C/dt on the diagonal.
+  kappa_.resize(n);
+  cOverDt_.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
     const Material m = grid.material(v);
-    s.kappa[v] = scenario.materials.kappa(m);
-    s.cOverDt[v] = scenario.capacities.capacity(m) * voxelVolume / scenario.dt;
+    kappa_[v] = scenario.materials.kappa(m);
+    cOverDt_[v] = scenario.capacities.capacity(m) * voxelVolume / scenario.dt;
   }
-
-  const bool reuseStructure =
-      s.nx == grid.nx() && s.ny == grid.ny() && s.nz == grid.nz();
-  if (!reuseStructure || s.builder.rows() != n) {
-    s.builder = nh::util::TripletBuilder(n, n);
-  } else {
-    s.builder.clear();
-  }
-  s.steadyRhs.assign(n, 0.0);
-  const auto faceCoefficient = [](double a, double b) {
-    return (a <= 0.0 || b <= 0.0) ? 0.0 : 2.0 * a * b / (a + b);
-  };
-  for (std::size_t k = 0; k < grid.nz(); ++k) {
-    for (std::size_t j = 0; j < grid.ny(); ++j) {
-      for (std::size_t i = 0; i < grid.nx(); ++i) {
-        const std::size_t v = grid.index(i, j, k);
-        double diag = s.cOverDt[v];
-        // Zero-conductance faces are stamped too (explicit zeros), keeping
-        // the structure a function of the grid alone.
-        const auto visit = [&](std::size_t nv) {
-          const double g = faceCoefficient(s.kappa[v], s.kappa[nv]) * h;
-          diag += g;
-          s.builder.add(v, nv, -g);
-        };
-        if (i > 0) visit(grid.index(i - 1, j, k));
-        if (i + 1 < grid.nx()) visit(grid.index(i + 1, j, k));
-        if (j > 0) visit(grid.index(i, j - 1, k));
-        if (j + 1 < grid.ny()) visit(grid.index(i, j + 1, k));
-        if (k > 0) visit(grid.index(i, j, k - 1));
-        if (k + 1 < grid.nz()) visit(grid.index(i, j, k + 1));
-        if (k == 0) {  // Dirichlet ambient at the substrate bottom
-          const double g = 2.0 * s.kappa[v] * h;
-          diag += g;
-          s.steadyRhs[v] += g * scenario.ambientK;
-        }
-        s.builder.add(v, v, diag);
-      }
-    }
-  }
-  if (!reuseStructure) {
-    s.pattern = nh::util::SparsityPattern::fromTriplets(s.builder);
-    s.nx = grid.nx();
-    s.ny = grid.ny();
-    s.nz = grid.nz();
-  }
-  s.pattern.assemble(s.builder, s.matrix);
+  operator_.assemble(grid, kappa_, &cOverDt_, scenario.ambientK, boundaryRhs_);
 
   // Heat source.
   const auto& heated = model.cell(scenario.heatedRow, scenario.heatedCol);
-  s.source.assign(n, 0.0);
+  source_.assign(n, 0.0);
   const double perVoxel =
       scenario.power / static_cast<double>(heated.filamentVoxels.size());
-  for (const std::size_t v : heated.filamentVoxels) s.source[v] += perVoxel;
+  for (const std::size_t v : heated.filamentVoxels) source_[v] += perVoxel;
 
   // Observed cells: heated + the three characteristic neighbours.
   TransientSolution out;
@@ -173,41 +107,32 @@ TransientSolution ThermalTransientSolver::solve(const TransientScenario& scenari
   }
   out.cellTemperature.assign(observed.size(), {});
 
-  // March: (C/dt + A) T_new = C/dt T_old + q + dirichletRhs. The operator is
+  // March: (C/dt + A) T_new = C/dt T_old + q + boundaryRhs. The operator is
   // frozen for the whole march, so the preconditioner (IC(0) by default) is
   // computed on the first step and reused afterwards; the CG scratch lives
   // in the persistent workspace.
-  s.temperature.assign(n, scenario.ambientK);
-  s.rhs.resize(n);
+  temperature_.assign(n, scenario.ambientK);
+  rhs_.resize(n);
   const std::size_t steps =
       static_cast<std::size_t>(std::ceil(scenario.tStop / scenario.dt));
   out.converged = true;
-  const auto filamentMean = [&](const std::vector<double>& field,
-                                std::size_t si) {
-    double acc = 0.0;
-    const auto& cell = model.cell(observed[si].first, observed[si].second);
-    for (const std::size_t v : cell.filamentVoxels) acc += field[v];
-    return acc / static_cast<double>(cell.filamentVoxels.size());
-  };
   const auto record = [&](double t) {
     out.time.push_back(t);
     for (std::size_t si = 0; si < observed.size(); ++si) {
-      out.cellTemperature[si].push_back(filamentMean(s.temperature, si));
+      const auto& [row, col] = observed[si];
+      out.cellTemperature[si].push_back(model.cellAverage(temperature_, row, col));
     }
   };
   record(0.0);
-  // The transient operator always covers the whole structured grid, so the
-  // multigrid auto-upgrade applies exactly as in DiffusionSolver; with the
-  // operator frozen across steps the hierarchy is built only once.
-  nh::util::CgOptions cgOptions =
-      toCgOptions(options, grid.nx(), grid.ny(), grid.nz());
+  // The multigrid auto-upgrade applies exactly as in DiffusionSolver; with
+  // the operator frozen across steps the hierarchy is built only once.
+  nh::util::CgOptions cgOptions = toCgOptions(options, grid);
   for (std::size_t step = 1; step <= steps; ++step) {
     for (std::size_t v = 0; v < n; ++v) {
-      s.rhs[v] = s.cOverDt[v] * s.temperature[v] + s.source[v] + s.steadyRhs[v];
+      rhs_[v] = cOverDt_[v] * temperature_[v] + source_[v] + boundaryRhs_[v];
     }
-    const auto stats = nh::util::solveConjugateGradient(s.matrix, s.rhs,
-                                                        s.temperature, cgOptions,
-                                                        &s.cg);
+    const auto stats = nh::util::solveConjugateGradient(
+        operator_.matrix(), rhs_, temperature_, cgOptions, &cg_);
     cgOptions.reusePreconditioner = true;  // operator frozen across steps
     if (!stats.converged) {
       out.converged = false;
@@ -216,19 +141,18 @@ TransientSolution ThermalTransientSolver::solve(const TransientScenario& scenari
     record(static_cast<double>(step) * scenario.dt);
   }
 
-  // Steady state of the same scenario (A T = q + Dirichlet bottom), warm-
-  // started from the last transient field: the reference the rise taus are
+  // Steady state of the same scenario: the reference the rise taus are
   // measured against.
-  s.steadyProblem.grid = &grid;
-  s.steadyProblem.coefficient = s.kappa;
-  s.steadyProblem.sourcePerVoxel = s.source;
-  s.steadyProblem.bottomPlaneDirichlet = true;
-  s.steadyProblem.bottomPlaneValue = scenario.ambientK;
-  const DiffusionSolution steady =
-      s.steady.solve(s.steadyProblem, options, &s.temperature);
-  out.converged = out.converged && steady.converged();
-  for (std::size_t si = 0; si < observed.size(); ++si) {
-    out.steadyTemperature.push_back(filamentMean(steady.field, si));
+  ThermalScenario steady;
+  steady.model = &model;
+  steady.materials = scenario.materials;
+  steady.ambientK = scenario.ambientK;
+  steady.cellPower = nh::util::Matrix(layout.rows, layout.cols, 0.0);
+  steady.cellPower(scenario.heatedRow, scenario.heatedCol) = scenario.power;
+  const ThermalSolution reference = solveThermal(steady, options);
+  out.converged = out.converged && reference.converged();
+  for (const auto& [row, col] : observed) {
+    out.steadyTemperature.push_back(reference.cellTemperature(row, col));
   }
   return out;
 }

@@ -2,9 +2,9 @@
 /// \file transient.hpp
 /// Time-dependent heat conduction on the voxel grid:
 ///   c(x) dT/dt = div( kappa(x) grad T ) + q(x)
-/// discretised with implicit (backward) Euler on the same finite-volume
-/// operator as the steady solver, so the steady state of the transient run
-/// matches solveThermal() exactly.
+/// discretised with implicit (backward) Euler on the finite-volume operator
+/// of the steady solver (one HeatOperator stamp, plus the C/dt lump), so the
+/// steady state of the transient run is solveThermal()'s.
 ///
 /// Purpose in this project: derive, from first principles, the thermal time
 /// constants that the circuit-level engines *assume* -- the filament
@@ -12,7 +12,6 @@
 /// propagation delay to the neighbours -- and thereby validate the
 /// quasi-static treatment of 10-100 ns pulses.
 
-#include <memory>
 #include <vector>
 
 #include "fem/geometry.hpp"
@@ -50,9 +49,9 @@ struct TransientSolution {
   /// neighbour, [3] = diagonal neighbour (where they exist).
   std::vector<std::vector<double>> cellTemperature;
   std::vector<std::string> cellLabels;
-  /// Steady-state temperature of each observed cell [K]: one steady solve
-  /// of the same model, materials and power (the t -> infinity limit of
-  /// the march).
+  /// Steady-state temperature of each observed cell [K]: solveThermal() of
+  /// the same model, materials and power (the t -> infinity limit of the
+  /// march).
   std::vector<double> steadyTemperature;
   bool converged = false;
 
@@ -65,28 +64,24 @@ struct TransientSolution {
 
 /// Run the step response. Each implicit-Euler step solves the SPD system
 /// (C/dt + A) T_new = C/dt T_old + q with conjugate gradients, warm-started
-/// from the previous step; one steady solve A T = q of the same scenario
-/// then fills steadyTemperature.
+/// from the previous step; solveThermal() of the same model, materials and
+/// power then fills steadyTemperature. \p power must be finite and >= 0.
 TransientSolution solveThermalStep(const TransientScenario& scenario,
                                    const DiffusionOptions& options = {});
 
 /// Structure-reusing form of solveThermalStep(): repeated runs on the same
-/// grid reuse the cached sparsity pattern, CSR matrix, field vectors, and CG
-/// scratch. Within one run the implicit-Euler operator is frozen, so the
-/// IC(0) preconditioner is factored once and reused for every step.
+/// grid reuse the cached HeatOperator, field vectors, and CG scratch. Within
+/// one run the implicit-Euler operator is frozen, so the preconditioner is
+/// built once and reused for every step.
 class ThermalTransientSolver {
  public:
-  ThermalTransientSolver();
-  ~ThermalTransientSolver();
-  ThermalTransientSolver(ThermalTransientSolver&&) noexcept;
-  ThermalTransientSolver& operator=(ThermalTransientSolver&&) noexcept;
-
   TransientSolution solve(const TransientScenario& scenario,
                           const DiffusionOptions& options = {});
 
  private:
-  struct State;
-  std::unique_ptr<State> state_;
+  HeatOperator operator_;  ///< C/dt + A.
+  nh::util::Vector kappa_, cOverDt_, boundaryRhs_, source_, temperature_, rhs_;
+  nh::util::CgWorkspace cg_;
 };
 
 }  // namespace nh::fem

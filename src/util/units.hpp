@@ -15,8 +15,6 @@ inline constexpr double kBoltzmannEv = kBoltzmann / kElementaryCharge;
 inline constexpr double kRichardson = 1.20173e6;
 /// Stefan-Boltzmann constant [W m^-2 K^-4].
 inline constexpr double kStefanBoltzmann = 5.670374419e-8;
-/// Lorenz number of the Wiedemann-Franz law [W Ohm K^-2].
-inline constexpr double kLorenzNumber = 2.44e-8;
 /// Standard ambient temperature used as the default T0 [K].
 inline constexpr double kRoomTemperature = 300.0;
 /// Absolute zero in Celsius offset [K].

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "fem/diffusion.hpp"
 #include "jart/params.hpp"
 #include "util/cancellation.hpp"
 #include "xbar/fastsim.hpp"
@@ -22,7 +21,6 @@ namespace {
 TEST(ConfigEquality, DefaultConstructedPairsCompareEqual) {
   EXPECT_EQ(StudyConfig{}, StudyConfig{});
   EXPECT_EQ(DetectorConfig{}, DetectorConfig{});
-  EXPECT_EQ(fem::DiffusionOptions{}, fem::DiffusionOptions{});
   EXPECT_EQ(xbar::FastEngineOptions{}, xbar::FastEngineOptions{});
   EXPECT_EQ(jart::Params::paperDefaults(), jart::Params::paperDefaults());
 }
@@ -37,10 +35,6 @@ TEST(ConfigEquality, PerturbedFieldBreaksEquality) {
   c.cellParams.activationEnergySet += 1e-3;  // nested jart::Params member
   EXPECT_NE(a, c);
 
-  StudyConfig d;
-  d.femOptions.relTol *= 10.0;  // nested fem::DiffusionOptions member
-  EXPECT_NE(a, d);
-
   StudyConfig e;
   e.engineOptions.batchDriftLimit *= 2.0;  // nested FastEngineOptions member
   EXPECT_NE(a, e);
@@ -52,10 +46,6 @@ TEST(ConfigEquality, PerturbedFieldBreaksEquality) {
   DetectorConfig g;
   g.readVoltage = 0.3;
   EXPECT_NE(DetectorConfig{}, g);
-
-  fem::DiffusionOptions h;
-  h.maxIterations += 1;
-  EXPECT_NE(fem::DiffusionOptions{}, h);
 
   xbar::FastEngineOptions i;
   i.useSchurSolve = false;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace nh::fem {
 namespace {
@@ -23,7 +25,6 @@ TEST(Diffusion, OneDimensionalColumnMatchesAnalytic) {
   problem.sourcePerVoxel.assign(nz, 0.0);
   const double q = 1e-6;  // 1 uW into the top voxel
   problem.sourcePerVoxel[nz - 1] = q;
-  problem.bottomPlaneDirichlet = true;
   problem.bottomPlaneValue = 300.0;
 
   const auto sol = solveDiffusion(problem);
@@ -47,7 +48,6 @@ TEST(Diffusion, EnergyConservationFluxEqualsSource) {
   problem.coefficient.assign(grid.voxelCount(), 1.5);
   problem.sourcePerVoxel.assign(grid.voxelCount(), 0.0);
   problem.sourcePerVoxel[grid.index(3, 3, 4)] = 2e-6;
-  problem.bottomPlaneDirichlet = true;
   problem.bottomPlaneValue = 300.0;
   const auto sol = solveDiffusion(problem, {1e-12, 20000});
   ASSERT_TRUE(sol.converged());
@@ -70,7 +70,6 @@ TEST(Diffusion, SymmetricSourceGivesSymmetricField) {
   problem.coefficient.assign(grid.voxelCount(), 1.0);
   problem.sourcePerVoxel.assign(grid.voxelCount(), 0.0);
   problem.sourcePerVoxel[grid.index(3, 3, 2)] = 1e-6;
-  problem.bottomPlaneDirichlet = true;
   problem.bottomPlaneValue = 0.0;
   const auto sol = solveDiffusion(problem, {1e-11, 20000});
   ASSERT_TRUE(sol.converged());
@@ -94,7 +93,6 @@ TEST(Diffusion, TemperatureDecaysAwayFromSource) {
   problem.coefficient.assign(grid.voxelCount(), 1.0);
   problem.sourcePerVoxel.assign(grid.voxelCount(), 0.0);
   problem.sourcePerVoxel[grid.index(4, 4, 3)] = 1e-6;
-  problem.bottomPlaneDirichlet = true;
   problem.bottomPlaneValue = 300.0;
   const auto sol = solveDiffusion(problem);
   ASSERT_TRUE(sol.converged());
@@ -107,75 +105,29 @@ TEST(Diffusion, TemperatureDecaysAwayFromSource) {
   }
 }
 
-TEST(Diffusion, PinnedVoxelsHoldValueAndSourceCurrent) {
-  // Potential solve: two pinned plates with a conductive column between.
-  VoxelGrid grid(1, 1, 5, 1e-9);
-  DiffusionProblem problem;
-  problem.grid = &grid;
-  problem.coefficient.assign(5, 100.0);
-  problem.pins.push_back({grid.index(0, 0, 0), 0.0});
-  problem.pins.push_back({grid.index(0, 0, 4), 1.0});
-  const auto sol = solveDiffusion(problem, {1e-12, 1000});
-  ASSERT_TRUE(sol.converged());
-  EXPECT_DOUBLE_EQ(sol.field[grid.index(0, 0, 0)], 0.0);
-  EXPECT_DOUBLE_EQ(sol.field[grid.index(0, 0, 4)], 1.0);
-  // Linear ramp between the plates.
-  EXPECT_NEAR(sol.field[grid.index(0, 0, 2)], 0.5, 1e-9);
-
-  // Current from the top pin: g = sigma*h = 1e-7 S per face, 4 faces in
-  // series between pins -> I = V * g / 4.
-  const double current = sol.fluxFromPins(problem, {grid.index(0, 0, 4)});
-  EXPECT_NEAR(current, 1.0 * 100.0 * 1e-9 / 4.0, 1e-12);
-
-  // Dissipation sums to V*I.
-  const auto power = sol.dissipationPerVoxel(problem);
-  double total = 0.0;
-  for (const double p : power) total += p;
-  EXPECT_NEAR(total, current * 1.0, current * 1e-9);
-}
-
-TEST(Diffusion, ConflictingPinsThrow) {
-  VoxelGrid grid(2, 1, 1, 1e-9);
-  DiffusionProblem problem;
-  problem.grid = &grid;
-  problem.coefficient.assign(2, 1.0);
-  problem.pins.push_back({0, 1.0});
-  problem.pins.push_back({0, 2.0});
-  EXPECT_THROW(solveDiffusion(problem), std::invalid_argument);
-}
-
-TEST(Diffusion, PureNeumannRejected) {
-  VoxelGrid grid(2, 2, 2, 1e-9);
-  DiffusionProblem problem;
-  problem.grid = &grid;
-  problem.coefficient.assign(8, 1.0);
-  EXPECT_THROW(solveDiffusion(problem), std::invalid_argument);
-}
-
 TEST(Diffusion, WrongSizesRejected) {
   VoxelGrid grid(2, 2, 2, 1e-9);
   DiffusionProblem problem;
   problem.grid = &grid;
   problem.coefficient.assign(3, 1.0);  // wrong size
-  problem.bottomPlaneDirichlet = true;
   EXPECT_THROW(solveDiffusion(problem), std::invalid_argument);
-}
+  problem.coefficient.assign(8, 1.0);
+  problem.sourcePerVoxel.assign(3, 0.0);  // wrong size
+  EXPECT_THROW(solveDiffusion(problem), std::invalid_argument);
+  problem.sourcePerVoxel.clear();
+  ASSERT_TRUE(solveDiffusion(problem).converged());
 
-TEST(Diffusion, WarmStartConvergesFaster) {
-  VoxelGrid grid(10, 10, 8, 1e-9);
-  DiffusionProblem problem;
-  problem.grid = &grid;
-  problem.coefficient.assign(grid.voxelCount(), 1.0);
-  problem.sourcePerVoxel.assign(grid.voxelCount(), 0.0);
-  problem.sourcePerVoxel[grid.index(5, 5, 6)] = 1e-6;
-  problem.bottomPlaneDirichlet = true;
-  problem.bottomPlaneValue = 300.0;
-
-  const auto cold = solveDiffusion(problem);
-  ASSERT_TRUE(cold.converged());
-  const auto warm = solveDiffusion(problem, {}, &cold.field);
-  ASSERT_TRUE(warm.converged());
-  EXPECT_LT(warm.stats.iterations, cold.stats.iterations / 2 + 2);
+  // Coefficients must be finite and > 0: the operator has no other guard
+  // against a zero or NaN diagonal.
+  for (const double bad : {0.0, -1.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    problem.coefficient.assign(8, 1.0);
+    problem.coefficient[5] = bad;
+    EXPECT_THROW(solveDiffusion(problem), std::invalid_argument) << bad;
+  }
+  problem.grid = nullptr;
+  problem.coefficient.assign(8, 1.0);
+  EXPECT_THROW(solveDiffusion(problem), std::invalid_argument);
 }
 
 }  // namespace

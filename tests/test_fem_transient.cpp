@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <utility>
 
 namespace nh::fem {
 namespace {
@@ -134,6 +137,41 @@ TEST(TransientThermal, RiseTauDoesNotDependOnStopTime) {
   EXPECT_GE(compared, 2u);
 }
 
+/// The rise taus are measured against steadyTemperature, so it must be the
+/// steady state of the same model, materials and power -- the operator A
+/// alone, without the march's C/dt lump.
+TEST(TransientThermal, SteadyReferenceMatchesSolveThermal) {
+  const auto& model = smallModel();
+  const auto scenario = quickScenario(model);
+  const auto& sol = stepResponse(scenario.tStop);
+  ASSERT_TRUE(sol.converged);
+
+  ThermalScenario steady;
+  steady.model = &model;
+  steady.materials = scenario.materials;
+  steady.ambientK = scenario.ambientK;
+  steady.cellPower = nh::util::Matrix(3, 3, 0.0);
+  steady.cellPower(scenario.heatedRow, scenario.heatedCol) = scenario.power;
+  const auto reference = solveThermal(steady);
+  ASSERT_TRUE(reference.converged());
+
+  // Observed cells in TransientSolution order: heated, word-line (next
+  // column), bit-line (next row) and diagonal neighbour.
+  const std::size_t r = scenario.heatedRow;
+  const std::size_t c = scenario.heatedCol;
+  const std::pair<std::size_t, std::size_t> cells[] = {
+      {r, c}, {r, c + 1}, {r + 1, c}, {r + 1, c + 1}};
+  ASSERT_EQ(sol.steadyTemperature.size(), std::size(cells));
+  const double rise = reference.cellTemperature(r, c) - scenario.ambientK;
+  ASSERT_GT(rise, 0.0);
+  for (std::size_t s = 0; s < std::size(cells); ++s) {
+    SCOPED_TRACE(sol.cellLabels[s]);
+    EXPECT_NEAR(sol.steadyTemperature[s],
+                reference.cellTemperature(cells[s].first, cells[s].second),
+                1e-7 * rise);
+  }
+}
+
 TEST(TransientThermal, Validation) {
   const auto& model = smallModel();
   TransientScenario bad = quickScenario(model);
@@ -144,6 +182,17 @@ TEST(TransientThermal, Validation) {
   EXPECT_THROW(solveThermalStep(bad), std::out_of_range);
   bad = quickScenario(model);
   bad.model = nullptr;
+  EXPECT_THROW(solveThermalStep(bad), std::invalid_argument);
+  for (const double power :
+       {-1e-4, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    bad = quickScenario(model);
+    bad.power = power;
+    EXPECT_THROW(solveThermalStep(bad), std::invalid_argument) << power;
+  }
+  // A user-edited material table with a non-positive conductivity is
+  // rejected by the operator stamp.
+  bad = quickScenario(model);
+  bad.materials.props(Material::SiO2).kappa = 0.0;
   EXPECT_THROW(solveThermalStep(bad), std::invalid_argument);
 }
 

@@ -319,16 +319,14 @@ TEST(GeometricMultigrid, RejectsTinyGrids) {
 }
 
 TEST(GeometricMultigrid, DiffusionSolverAutoUpgradeMatchesExplicitIc0Solution) {
-  // A pin-free diffusion problem big enough to trip the auto-upgrade
-  // (lowered threshold): the GMG solution must agree with IC(0)'s within
-  // tolerance, and the upgrade must leave pinned problems alone.
+  // A diffusion problem big enough to trip the auto-upgrade (lowered
+  // threshold): the GMG solution must agree with IC(0)'s within tolerance.
   nh::fem::VoxelGrid grid(16, 16, 16, 2e-9);
   nh::fem::DiffusionProblem problem;
   problem.grid = &grid;
   problem.coefficient.assign(grid.voxelCount(), 1.5);
   problem.sourcePerVoxel.assign(grid.voxelCount(), 0.0);
   problem.sourcePerVoxel[grid.index(8, 8, 12)] = 3e-6;
-  problem.bottomPlaneDirichlet = true;
   problem.bottomPlaneValue = 300.0;
 
   nh::fem::DiffusionOptions upgraded;
@@ -634,14 +632,15 @@ TEST(FastEngineSchur, MatchesDenseSolveOnRandomCrossbars) {
 TEST(DiffusionSolver, CachedSolveMatchesFreshSolveBitIdentical) {
   nh::fem::VoxelGrid grid(6, 6, 6, 2e-9);
   nh::fem::DiffusionSolver solver;
-  for (int sweep = 0; sweep < 3; ++sweep) {
+  for (int sweep = 0; sweep < 4; ++sweep) {
     nh::fem::DiffusionProblem problem;
     problem.grid = &grid;
-    const double kappa = 1.0 + 0.5 * sweep;  // values change, structure fixed
+    // Values change, structure fixed; odd sweeps change only the source, so
+    // the cached solve reuses its preconditioner.
+    const double kappa = 1.0 + 0.5 * (sweep / 2);
     problem.coefficient.assign(grid.voxelCount(), kappa);
     problem.sourcePerVoxel.assign(grid.voxelCount(), 0.0);
     problem.sourcePerVoxel[grid.index(3, 3, 4)] = 2e-6 * (1 + sweep);
-    problem.bottomPlaneDirichlet = true;
     problem.bottomPlaneValue = 300.0;
 
     const auto cached = solver.solve(problem, {1e-12, 20000});
@@ -667,30 +666,9 @@ TEST(DiffusionSolver, DetectsStructureChange) {
     problem.coefficient.assign(grid->voxelCount(), 2.0);
     problem.sourcePerVoxel.assign(grid->voxelCount(), 0.0);
     problem.sourcePerVoxel[grid->index(1, 1, 2)] = 1e-6;
-    problem.bottomPlaneDirichlet = true;
     problem.bottomPlaneValue = 300.0;
     const auto cached = solver.solve(problem);
     const auto fresh = nh::fem::solveDiffusion(problem);
-    ASSERT_TRUE(cached.converged());
-    for (std::size_t v = 0; v < cached.field.size(); ++v) {
-      EXPECT_DOUBLE_EQ(cached.field[v], fresh.field[v]);
-    }
-  }
-}
-
-TEST(DiffusionSolver, PinValueChangesReuseStructure) {
-  // Same pin locations, different pin values: the cached structure must be
-  // reused and the result must match a fresh solve exactly.
-  nh::fem::VoxelGrid grid(5, 5, 5, 1e-9);
-  nh::fem::DiffusionSolver solver;
-  for (const double pinV : {1.0, 0.5, 2.0}) {
-    nh::fem::DiffusionProblem problem;
-    problem.grid = &grid;
-    problem.coefficient.assign(grid.voxelCount(), 1.0);
-    problem.pins.push_back({grid.index(2, 2, 4), pinV});
-    problem.pins.push_back({grid.index(0, 0, 0), 0.0});
-    const auto cached = solver.solve(problem, {1e-12, 20000});
-    const auto fresh = nh::fem::solveDiffusion(problem, {1e-12, 20000});
     ASSERT_TRUE(cached.converged());
     for (std::size_t v = 0; v < cached.field.size(); ++v) {
       EXPECT_DOUBLE_EQ(cached.field[v], fresh.field[v]);
