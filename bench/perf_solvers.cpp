@@ -23,12 +23,15 @@
 #include "jart/device.hpp"
 #include "spice/analysis.hpp"
 #include "spice/elements.hpp"
-#include "util/fvstencil.hpp"
 #include "util/linsolve.hpp"
 #include "util/multigrid.hpp"
 #include "util/rng.hpp"
 #include "util/sparse.hpp"
 #include "xbar/fastsim.hpp"
+
+// Shared with the solver-core tests, so the recorded cg_iterations and the
+// tests' iteration-scaling assertions describe the same operator.
+#include "../tests/steady_fv_operator.hpp"
 
 namespace {
 
@@ -186,7 +189,7 @@ BENCHMARK(BM_CgPreconditioner)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 void BM_CgFvSteadyLargeGrid(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   const std::size_t n = m * m * m;
-  const auto matrix = nh::util::makeSteadyFvOperator3d(m, 2.0);
+  const auto matrix = steadyFvOperator(m, 2.0);
   nh::util::Vector b(n, 1e-6);  // uniform heat load
   nh::util::CgWorkspace workspace;
   nh::util::CgOptions options;
@@ -232,7 +235,7 @@ BENCHMARK(BM_CgFvSteadyLargeGrid)
 void BM_GmgHierarchySetup(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   const std::size_t n = m * m * m;
-  const auto matrix = nh::util::makeSteadyFvOperator3d(m, 2.0);
+  const auto matrix = steadyFvOperator(m, 2.0);
   nh::util::GeometricMultigrid::Options options;
   options.nx = options.ny = options.nz = m;
   for (auto _ : state) {

@@ -247,7 +247,10 @@ std::uint64_t hashStudyConfig(std::uint64_t h, const StudyConfig& c) {
   const DetectorConfig& d = c.detector;
   const double fields[] = {
       static_cast<double>(c.rows), static_cast<double>(c.cols), c.spacing,
-      c.ambientK, c.useFemAlphas ? 1.0 : 0.0, c.femVoxelSize,
+      c.ambientK,
+      // Retired FEM-in-the-loop alpha switch (off = 0) and its voxel size
+      // (5e-9 m), hashed as constants like the solver knobs below.
+      0.0, 5e-9,
       // jart::Params
       p.rFilament, p.lCell, p.lDisc, p.lPlug, p.nDiscMin, p.nDiscMax, p.nPlug,
       p.mobility, p.rSeries, p.richardson, p.phiBarrier0, p.phiLowering,

@@ -4,9 +4,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "fem/geometry.hpp"
-#include "util/log.hpp"
-
 namespace nh::core {
 
 namespace {
@@ -23,25 +20,7 @@ AttackStudy::AttackStudy(StudyConfig config) : config_(std::move(config)) {
     throw std::invalid_argument("AttackStudy: need at least a 3x3 array");
   }
 
-  if (config_.useFemAlphas) {
-    fem::CrossbarLayout layout;
-    layout.rows = config_.rows;
-    layout.cols = config_.cols;
-    layout.spacing = config_.spacing;
-    layout.voxelSize = config_.femVoxelSize;
-    const auto model = fem::CrossbarModel3D::build(layout);
-    // Power sweep bracketing the hammered cell's dissipation (~0.1 mW).
-    // extractAlpha fills the sweep from one unit-power solve; on fine-voxel
-    // grids that solve runs GMG-preconditioned CG.
-    const auto extraction = fem::extractAlpha(
-        model, fem::MaterialTable::defaults(), config_.rows / 2, config_.cols / 2,
-        {0.05e-3, 0.10e-3, 0.15e-3}, config_.ambientK);
-    alphas_ = xbar::AlphaTable::fromExtraction(extraction);
-    nh::util::logInfo("AttackStudy: FEM alphas extracted, Rth=", extraction.rTh,
-                      " K/W, nearest alpha=", alphas_.at(0, 1));
-  } else {
-    alphas_ = xbar::AlphaTable::analytic(config_.spacing);
-  }
+  alphas_ = xbar::AlphaTable::analytic(config_.spacing);
 
   arrayConfig_.rows = config_.rows;
   arrayConfig_.cols = config_.cols;
@@ -49,7 +28,7 @@ AttackStudy::AttackStudy(StudyConfig config) : config_(std::move(config)) {
   arrayConfig_.ambientK = config_.ambientK;
   // COMSOL -> Virtuoso hand-off: the FEM-extracted thermal resistance
   // replaces the compact-model default (paper Sec. IV).
-  if (alphas_.rTh() > 0.0) arrayConfig_.cellParams.rThEff = alphas_.rTh();
+  arrayConfig_.cellParams.rThEff = alphas_.rTh();
 }
 
 AttackStudy::Bench AttackStudy::makeBench() const {

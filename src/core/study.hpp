@@ -1,15 +1,15 @@
 #pragma once
 /// \file study.hpp
-/// End-to-end experiment harness: wires geometry -> alpha extraction ->
-/// array/engine construction -> attack execution. The paper's parameter
-/// sweeps run through the experiment engine (core/experiment.hpp) and its
-/// registry, which hand every grid point an AttackStudy.
+/// End-to-end experiment harness: wires the FEM-calibrated alpha table
+/// (xbar::AlphaTable::analytic) -> array/engine construction -> attack
+/// execution. The paper's parameter sweeps run through the experiment engine
+/// (core/experiment.hpp) and its registry, which hand every grid point an
+/// AttackStudy.
 
 #include <memory>
 
 #include "core/attack.hpp"
 #include "core/patterns.hpp"
-#include "fem/alpha.hpp"
 #include "jart/params.hpp"
 #include "xbar/crosstalk.hpp"
 #include "xbar/fastsim.hpp"
@@ -23,16 +23,6 @@ struct StudyConfig {
   double spacing = 50e-9;    ///< Electrode spacing [m] (selects the alphas).
   double ambientK = 300.0;
   jart::Params cellParams = jart::Params::paperDefaults();
-  /// Run the full FEM extraction for this geometry instead of the
-  /// FEM-calibrated analytic alpha table (slower; bit-identical flow to the
-  /// paper). The analytic table was itself fitted to these extractions.
-  bool useFemAlphas = false;
-  /// Voxel size for the FEM extraction [m]. Finer voxels mean larger FV
-  /// systems; the extraction's single unit-power solve runs with the default
-  /// fem::DiffusionOptions, which upgrade its CG preconditioner to geometric
-  /// multigrid on large grids and keep iteration counts grid-size
-  /// independent.
-  double femVoxelSize = 5e-9;
   xbar::FastEngineOptions engineOptions;
   DetectorConfig detector;
 

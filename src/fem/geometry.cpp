@@ -1,9 +1,21 @@
 #include "fem/geometry.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace nh::fem {
+
+namespace {
+
+/// Voxel count along an axis of length \p extent, rounded as build() grids
+/// it; 0 when the count is not finite or does not fit a long long.
+std::size_t voxelsAlong(double extent, double h) {
+  const double n = std::round(extent / h);
+  return std::isfinite(n) && n < 0x1p63 ? static_cast<std::size_t>(n) : 0;
+}
+
+}  // namespace
 
 double CrossbarLayout::extentX() const {
   return 2.0 * margin + static_cast<double>(cols) * electrodeWidth +
@@ -46,6 +58,15 @@ void CrossbarLayout::validate() const {
   check(electrodeWidth >= voxelSize && spacing >= voxelSize,
         "voxelSize too coarse for the lateral features");
   check(filamentHeight >= voxelSize, "voxelSize too coarse for the filament");
+  // O(1) size check on the grid build() allocates.
+  std::size_t voxels = 1;
+  for (const double extent : {extentX(), extentY(), extentZ()}) {
+    const std::size_t n = voxelsAlong(extent, voxelSize);
+    check(n > 0 && n <= std::numeric_limits<std::size_t>::max() / voxels,
+          "voxel grid too large (a per-axis count is not finite or does not "
+          "fit, or nx*ny*nz overflows std::size_t)");
+    voxels *= n;
+  }
 }
 
 CrossbarModel3D CrossbarModel3D::build(const CrossbarLayout& layout) {
@@ -55,12 +76,9 @@ CrossbarModel3D CrossbarModel3D::build(const CrossbarLayout& layout) {
   model.layout_ = layout;
 
   const double h = layout.voxelSize;
-  const auto cellsAlong = [h](double extent) {
-    return static_cast<std::size_t>(std::llround(extent / h));
-  };
-  const std::size_t nx = cellsAlong(layout.extentX());
-  const std::size_t ny = cellsAlong(layout.extentY());
-  const std::size_t nz = cellsAlong(layout.extentZ());
+  const std::size_t nx = voxelsAlong(layout.extentX(), h);
+  const std::size_t ny = voxelsAlong(layout.extentY(), h);
+  const std::size_t nz = voxelsAlong(layout.extentZ(), h);
   model.grid_ = VoxelGrid(nx, ny, nz, h, Material::SiO2);
   VoxelGrid& grid = model.grid_;
 
@@ -82,8 +100,6 @@ CrossbarModel3D CrossbarModel3D::build(const CrossbarLayout& layout) {
     return offset <= layout.electrodeWidth ? idx : -1;
   };
 
-  model.wordLines_.assign(layout.rows, {});
-  model.bitLines_.assign(layout.cols, {});
   model.cells_.reserve(layout.rows * layout.cols);
   for (std::size_t r = 0; r < layout.rows; ++r) {
     for (std::size_t c = 0; c < layout.cols; ++c) {
@@ -110,10 +126,7 @@ CrossbarModel3D CrossbarModel3D::build(const CrossbarLayout& layout) {
         } else if (z < zBox) {
           m = Material::SiO2;
         } else if (z < zBe) {
-          if (inRow) {
-            m = Material::Electrode;
-            model.wordLines_[static_cast<std::size_t>(rowIdx)].push_back(linear);
-          }
+          if (inRow) m = Material::Electrode;
         } else if (z < zOx) {
           m = Material::SwitchingOxide;
           if (inRow && inCol && z < zBe + layout.filamentHeight) {
@@ -127,10 +140,7 @@ CrossbarModel3D CrossbarModel3D::build(const CrossbarLayout& layout) {
             }
           }
         } else if (z < zTe) {
-          if (inCol) {
-            m = Material::Electrode;
-            model.bitLines_[static_cast<std::size_t>(colIdx)].push_back(linear);
-          }
+          if (inCol) m = Material::Electrode;
         }
         grid.setMaterial(i, j, k, m);
       }
@@ -149,14 +159,6 @@ CrossbarModel3D CrossbarModel3D::build(const CrossbarLayout& layout) {
 
 const CellRegion& CrossbarModel3D::cell(std::size_t row, std::size_t col) const {
   return cells_.at(row * layout_.cols + col);
-}
-
-const std::vector<std::size_t>& CrossbarModel3D::wordLineVoxels(std::size_t row) const {
-  return wordLines_.at(row);
-}
-
-const std::vector<std::size_t>& CrossbarModel3D::bitLineVoxels(std::size_t col) const {
-  return bitLines_.at(col);
 }
 
 double CrossbarModel3D::cellAverage(const std::vector<double>& field,

@@ -44,7 +44,7 @@ struct CrossbarLayout {
 
   /// Throws std::invalid_argument on inconsistent parameters (zero sizes,
   /// filament larger than the cell, layers not resolvable by the voxel
-  /// size, ...).
+  /// size, a voxel grid whose size overflows std::size_t, ...).
   void validate() const;
 };
 
@@ -55,7 +55,7 @@ struct CellRegion {
   std::vector<std::size_t> filamentVoxels;  ///< Linear voxel indices.
 };
 
-/// The voxelised crossbar: grid plus per-cell and per-line voxel sets.
+/// The voxelised crossbar: grid plus per-cell filament voxel sets.
 class CrossbarModel3D {
  public:
   /// Voxelise \p layout. Throws on invalid layouts.
@@ -69,10 +69,6 @@ class CrossbarModel3D {
   const CellRegion& cell(std::size_t row, std::size_t col) const;
   std::size_t cellCount() const { return cells_.size(); }
 
-  /// All voxels of bottom word line \p row / top bit line \p col.
-  const std::vector<std::size_t>& wordLineVoxels(std::size_t row) const;
-  const std::vector<std::size_t>& bitLineVoxels(std::size_t col) const;
-
   /// Mean value of \p field over the filament voxels of cell (row, col).
   double cellAverage(const std::vector<double>& field, std::size_t row,
                      std::size_t col) const;
@@ -81,8 +77,6 @@ class CrossbarModel3D {
   CrossbarLayout layout_;
   VoxelGrid grid_;
   std::vector<CellRegion> cells_;
-  std::vector<std::vector<std::size_t>> wordLines_;
-  std::vector<std::vector<std::size_t>> bitLines_;
 };
 
 }  // namespace nh::fem

@@ -6,9 +6,6 @@
 /// amplitude ... and a given pulse length", plus duty cycle and pulse count.
 
 #include <memory>
-#include <vector>
-
-#include "util/interp.hpp"
 
 namespace nh::spice {
 
@@ -66,18 +63,6 @@ class PulseWaveform final : public Waveform {
 
  private:
   PulseSpec spec_;
-};
-
-/// Piecewise-linear waveform from (t, v) knots.
-class PwlWaveform final : public Waveform {
- public:
-  PwlWaveform(std::vector<double> times, std::vector<double> values);
-  double value(double t) const override;
-  double nextBreakpoint(double t) const override;
-  std::unique_ptr<Waveform> clone() const override;
-
- private:
-  nh::util::PiecewiseLinear fn_;
 };
 
 }  // namespace nh::spice

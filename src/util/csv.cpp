@@ -39,25 +39,6 @@ double CsvTable::cellAsDouble(std::size_t row, std::size_t col) const {
   return parseDouble(cell(row, col), "csv cell");
 }
 
-double CsvTable::cellAsDouble(std::size_t row, const std::string& columnName) const {
-  return cellAsDouble(row, columnIndex(columnName));
-}
-
-std::size_t CsvTable::columnIndex(const std::string& name) const {
-  for (std::size_t i = 0; i < header_.size(); ++i) {
-    if (header_[i] == name) return i;
-  }
-  throw std::out_of_range("CsvTable: no column named '" + name + "'");
-}
-
-std::vector<double> CsvTable::columnAsDouble(const std::string& name) const {
-  const std::size_t col = columnIndex(name);
-  std::vector<double> out;
-  out.reserve(rows_.size());
-  for (std::size_t r = 0; r < rows_.size(); ++r) out.push_back(cellAsDouble(r, col));
-  return out;
-}
-
 std::string CsvTable::toString() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < header_.size(); ++i) {
@@ -83,38 +64,6 @@ void CsvTable::save(const std::filesystem::path& path) const {
   if (!out) throw std::runtime_error("CsvTable::save: cannot open " + path.string());
   out << toString();
   if (!out) throw std::runtime_error("CsvTable::save: write failed for " + path.string());
-}
-
-CsvTable CsvTable::fromString(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  CsvTable table;
-  bool haveHeader = false;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (trim(line).empty()) continue;
-    auto cells = split(line, ',');
-    for (auto& c : cells) c = trim(c);
-    if (!haveHeader) {
-      table.header_ = std::move(cells);
-      haveHeader = true;
-    } else {
-      if (cells.size() != table.header_.size()) {
-        throw std::runtime_error("CsvTable::fromString: ragged row '" + line + "'");
-      }
-      table.rows_.push_back(std::move(cells));
-    }
-  }
-  if (!haveHeader) throw std::runtime_error("CsvTable::fromString: empty input");
-  return table;
-}
-
-CsvTable CsvTable::load(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("CsvTable::load: cannot open " + path.string());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return fromString(buf.str());
 }
 
 }  // namespace nh::util

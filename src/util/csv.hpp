@@ -1,8 +1,8 @@
 #pragma once
 /// \file csv.hpp
-/// Minimal CSV reader/writer used to export benchmark series (figure data)
-/// and to load tabulated inputs. No quoting/escaping beyond what the project
-/// itself emits (plain numeric/identifier fields).
+/// Minimal CSV writer used to export benchmark series (figure data). No
+/// quoting/escaping beyond what the project itself emits (plain
+/// numeric/identifier fields).
 
 #include <filesystem>
 #include <string>
@@ -26,23 +26,14 @@ class CsvTable {
   void addRow(const std::vector<double>& row);
 
   const std::vector<std::string>& row(std::size_t i) const { return rows_[i]; }
-  /// Cell accessors (by index / by column name). Throw on bad access.
+  /// Cell accessors. Throw on bad access.
   const std::string& cell(std::size_t row, std::size_t col) const;
   double cellAsDouble(std::size_t row, std::size_t col) const;
-  double cellAsDouble(std::size_t row, const std::string& columnName) const;
-  /// Column index for \p name; throws std::out_of_range when absent.
-  std::size_t columnIndex(const std::string& name) const;
-  /// Entire column as doubles.
-  std::vector<double> columnAsDouble(const std::string& name) const;
 
   /// Serialise to a string ("a,b\n1,2\n").
   std::string toString() const;
   /// Write to \p path (creates parent directories). Throws on I/O error.
   void save(const std::filesystem::path& path) const;
-  /// Parse from a string; first line is the header.
-  static CsvTable fromString(const std::string& text);
-  /// Load from file. Throws on I/O or parse error.
-  static CsvTable load(const std::filesystem::path& path);
 
  private:
   std::vector<std::string> header_;

@@ -25,35 +25,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
   return out;
 }
 
-std::vector<std::string> splitWhitespace(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    const std::size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string toLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 double parseDouble(std::string_view s, std::string_view context) {
   const std::string t = trim(s);
   try {

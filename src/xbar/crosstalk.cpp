@@ -83,27 +83,6 @@ double AlphaTable::totalCoupling() const {
   return acc;
 }
 
-AlphaTable AlphaTable::fromExtraction(const fem::AlphaResult& extraction) {
-  const auto& alpha = extraction.alpha;
-  const long long rows = static_cast<long long>(alpha.rows());
-  const long long cols = static_cast<long long>(alpha.cols());
-  const long long sr = static_cast<long long>(extraction.selectedRow);
-  const long long sc = static_cast<long long>(extraction.selectedCol);
-  const long long radius =
-      std::max({sr, rows - 1 - sr, sc, cols - 1 - sc});
-
-  AlphaTable table(radius);
-  table.rTh_ = extraction.rTh;
-  for (long long r = 0; r < rows; ++r) {
-    for (long long c = 0; c < cols; ++c) {
-      if (r == sr && c == sc) continue;
-      table.table_[table.index(r - sr, c - sc)] = alpha(static_cast<std::size_t>(r),
-                                                        static_cast<std::size_t>(c));
-    }
-  }
-  return table;
-}
-
 AlphaTable AlphaTable::analytic(double spacingMeters) {
   if (!(spacingMeters > 0.0)) {
     throw std::invalid_argument("AlphaTable::analytic: spacing must be > 0");

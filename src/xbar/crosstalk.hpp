@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "fem/alpha.hpp"
 #include "util/matrix.hpp"
 
 namespace nh::xbar {
@@ -21,26 +20,17 @@ class AlphaTable {
  public:
   AlphaTable() = default;
 
-  /// Build from a FEM extraction around cell (selectedRow, selectedCol):
-  /// the table offset (dr, dc) takes the value alpha(selected+dr,
-  /// selected+dc). Also captures the extracted R_th.
-  static AlphaTable fromExtraction(const fem::AlphaResult& extraction);
-
-  /// Closed-form fallback calibrated against the FEM extraction (see
-  /// DESIGN.md): nearest same-line coupling decays exponentially with the
-  /// electrode spacing, off-line (diagonal) coupling is weaker, and the
-  /// coupling decays with Chebyshev distance. Useful for tests and for
-  /// sweeps where re-running the FEM would dominate runtime.
+  /// The table every AttackStudy uses: the canonical FEM extractions (the
+  /// alpha_extraction experiment at 10/50/90 nm) interpolated log-linearly
+  /// in the electrode spacing, radius 2, with the extracted R_th.
   static AlphaTable analytic(double spacingMeters);
 
   /// alpha for relative offset; 0 at (0,0) and outside the table.
   double at(long long dRow, long long dCol) const;
   /// Largest tabulated |offset| in each direction.
   long long radius() const { return radius_; }
-  /// R_th of the hammered cell [K/W]; 0 when unknown (analytic table keeps
-  /// the compact-model default).
+  /// R_th of the hammered cell [K/W]; 0 for a default-constructed table.
   double rTh() const { return rTh_; }
-  void setRTh(double rth) { rTh_ = rth; }
   /// Sum of all coefficients (stability requires < 1).
   double totalCoupling() const;
 

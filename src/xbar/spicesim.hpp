@@ -6,6 +6,11 @@
 /// then runs the transient analysis (sparse MNA, chord-Newton; see
 /// spice/analysis.hpp). This is the high-fidelity reference path ("Cadence
 /// Virtuoso" role); the FastEngine is validated against it.
+///
+/// Two callers: the tests, which use it as the MNA oracle for the fast
+/// engine, and the perfbench `spice_crosscheck` workload, which times it.
+/// It is deliberately not a registered experiment: a SPICE-level sweep would
+/// reproduce the fast engine's numbers at orders of magnitude the cost.
 
 #include <memory>
 #include <string>

@@ -322,36 +322,6 @@ TEST(ExperimentEngine, SerialAndParallelRunsAreBitIdentical) {
   EXPECT_EQ(a.configDigest, b.configDigest);
 }
 
-/// The FEM-alpha path: every study construction runs a warm-started power
-/// sweep (each CG solve seeded with the previous point's field). The chain
-/// lives entirely inside one construction, so building the studies on four
-/// workers must give the rows of the serial run. The cache is cleared
-/// before each run so both runs really construct their studies.
-TEST(ExperimentEngine, FemAlphaStudiesAreThreadInvariant) {
-  ExperimentSpec spec = attackGridSpec();
-  spec.base.useFemAlphas = true;
-  spec.maxPulses = 50'000;
-  spec.axes[0].values = {10e-9};  // spacing
-  spec.axes[1].values = {50e-9};  // width
-  spec.axes.push_back({"ambient",
-                       {300.0, 340.0},
-                       {},
-                       [](StudyConfig& cfg, double v) { cfg.ambientK = v; }});
-  RunOptions serial;
-  serial.threads = 1;
-  RunOptions parallel;
-  parallel.threads = 4;
-  clearStudyCache();
-  const ExperimentResult a = runExperiment(spec, serial);
-  clearStudyCache();
-  const ExperimentResult b = runExperiment(spec, parallel);
-  clearStudyCache();
-  ASSERT_EQ(a.rows.size(), 2u);
-  EXPECT_EQ(a.studiesReused, 0u);
-  EXPECT_EQ(b.studiesReused, 0u);
-  EXPECT_EQ(a.rows, b.rows);
-}
-
 /// ---- shaped results (trace / matrix / pivot) -----------------------------
 
 /// One-axis spec whose rows carry a scalar, a trace, and nothing else.

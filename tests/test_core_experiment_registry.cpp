@@ -306,5 +306,26 @@ TEST(ExperimentRegistry, Fig3bFastGridIsThreadCountInvariant) {
   EXPECT_EQ(a.configDigest, b.configDigest);
 }
 
+/// `nh_sweep run alpha_extraction --set spacing_nm=1e30` used to SIGSEGV:
+/// the layout's 2^63-voxel lateral axes wrapped nx*ny*nz to 0. The run must
+/// end in the layout's named error instead (the CLI maps it to exit 1).
+TEST(ExperimentRegistry, OverflowingFemLayoutFailsWithANamedError) {
+  const ExperimentSpec spec = makeExperiment("alpha_extraction");
+  for (const double spacingNm : {1e30, 1e10}) {
+    RunOptions options;
+    options.fast = true;
+    options.threads = 1;
+    options.axisOverrides = {{"spacing_nm", {spacingNm}}};
+    try {
+      runExperiment(spec, options);
+      ADD_FAILURE() << "spacing_nm=" << spacingNm << " accepted";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("voxel grid too large"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nh::core

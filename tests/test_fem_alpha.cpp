@@ -4,31 +4,66 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "fem/thermal.hpp"
 
 namespace nh::fem {
 namespace {
 
-/// Small, coarse model so the extraction runs in well under a second.
-CrossbarModel3D smallModel(double spacing = 50e-9) {
-  CrossbarLayout layout;
-  layout.rows = 3;
-  layout.cols = 3;
-  layout.spacing = spacing;
-  layout.margin = 20e-9;
-  layout.voxelSize = 5e-9;
-  return CrossbarModel3D::build(layout);
+/// Small, coarse 3x3 models at the Fig. 3b spacings 10/50/90 nm, built once
+/// and shared by the tests below (each solve on them takes seconds under the
+/// sanitizers).
+const CrossbarModel3D& smallModel(double spacing = 50e-9) {
+  static const std::map<double, CrossbarModel3D> models = [] {
+    std::map<double, CrossbarModel3D> built;
+    for (const double s : {10e-9, 50e-9, 90e-9}) {
+      CrossbarLayout layout;
+      layout.rows = 3;
+      layout.cols = 3;
+      layout.spacing = s;
+      layout.margin = 20e-9;
+      layout.voxelSize = 5e-9;
+      built.emplace(s, CrossbarModel3D::build(layout));
+    }
+    return built;
+  }();
+  return models.at(spacing);
+}
+
+/// The 50 nm centre-cell extraction at the paper's three power points,
+/// solved once and shared. Its alphas do not depend on the power list: one
+/// unit-power solve fills every point.
+const AlphaResult& centreExtraction() {
+  static const AlphaResult result =
+      extractAlpha(smallModel(), MaterialTable::defaults(), 1, 1,
+                   {0.05e-3, 0.1e-3, 0.15e-3}, 300.0);
+  return result;
+}
+
+const DiffusionOptions kTight{1e-12, 40000};
+
+/// Absolute 50 nm solve at 300 K ambient with only the centre cell heated
+/// at \p power, to the tolerance the superposition oracle needs. One solve
+/// per power on one solver (the operator is the same, so its preconditioner
+/// is reused), shared by the tests below.
+const ThermalSolution& centreHeatedSolve(double power) {
+  static ThermalSolver solver;
+  static std::map<double, ThermalSolution> cache;
+  auto it = cache.find(power);
+  if (it == cache.end()) {
+    ThermalScenario scenario;
+    scenario.model = &smallModel();
+    scenario.ambientK = 300.0;
+    scenario.cellPower = nh::util::Matrix(3, 3, 0.0);
+    scenario.cellPower(1, 1) = power;
+    it = cache.emplace(power, solver.solve(scenario, kTight)).first;
+  }
+  return it->second;
 }
 
 TEST(SolveThermal, HeatsSelectedCellAboveNeighbours) {
-  const auto model = smallModel();
-  ThermalScenario scenario;
-  scenario.model = &model;
-  scenario.ambientK = 300.0;
-  scenario.cellPower = nh::util::Matrix(3, 3, 0.0);
-  scenario.cellPower(1, 1) = 0.1e-3;
-  const auto sol = solveThermal(scenario);
+  const ThermalSolution& sol = centreHeatedSolve(0.1e-3);
   ASSERT_TRUE(sol.converged());
   const double centre = sol.cellTemperature(1, 1);
   EXPECT_GT(centre, 400.0);
@@ -41,14 +76,8 @@ TEST(SolveThermal, HeatsSelectedCellAboveNeighbours) {
 }
 
 TEST(SolveThermal, LinearInPower) {
-  const auto model = smallModel();
-  ThermalScenario scenario;
-  scenario.model = &model;
-  scenario.cellPower = nh::util::Matrix(3, 3, 0.0);
-  scenario.cellPower(1, 1) = 0.05e-3;
-  const auto a = solveThermal(scenario, {1e-10, 40000});
-  scenario.cellPower(1, 1) = 0.10e-3;
-  const auto b = solveThermal(scenario, {1e-10, 40000});
+  const ThermalSolution& a = centreHeatedSolve(0.05e-3);
+  const ThermalSolution& b = centreHeatedSolve(0.10e-3);
   ASSERT_TRUE(a.converged() && b.converged());
   const double riseA = a.cellTemperature(1, 1) - 300.0;
   const double riseB = b.cellTemperature(1, 1) - 300.0;
@@ -56,7 +85,7 @@ TEST(SolveThermal, LinearInPower) {
 }
 
 TEST(SolveThermal, InputValidation) {
-  const auto model = smallModel();
+  const auto& model = smallModel();
   ThermalScenario scenario;
   scenario.model = &model;
   scenario.cellPower = nh::util::Matrix(2, 2, 0.0);  // wrong shape
@@ -75,9 +104,7 @@ TEST(SolveThermal, InputValidation) {
 }
 
 TEST(ExtractAlpha, LinearFitsAreNearPerfect) {
-  const auto model = smallModel();
-  const auto result = extractAlpha(model, MaterialTable::defaults(), 1, 1,
-                                   {0.05e-3, 0.1e-3, 0.15e-3}, 300.0);
+  const AlphaResult& result = centreExtraction();
   EXPECT_GT(result.rTh, 1e5);
   EXPECT_GT(result.rThRSquared, 0.9999);
   for (std::size_t r = 0; r < 3; ++r) {
@@ -92,19 +119,10 @@ TEST(ExtractAlpha, SuperpositionMatchesThreeSolveRegression) {
   // power point, then a least-squares line per cell (Eq. 3 on the selected
   // cell, Eq. 4 on the others). extractAlpha's single unit-power solve must
   // reproduce it to solver precision.
-  const auto model = smallModel();
   const std::vector<double> powers = {0.05e-3, 0.10e-3, 0.15e-3};
-  const DiffusionOptions tight{1e-12, 40000};
-
-  ThermalSolver solver;
-  ThermalScenario scenario;
-  scenario.model = &model;
-  scenario.ambientK = 300.0;
   std::vector<nh::util::Matrix> temperatures;
   for (const double p : powers) {
-    scenario.cellPower = nh::util::Matrix(3, 3, 0.0);
-    scenario.cellPower(1, 1) = p;
-    const auto sol = solver.solve(scenario, tight);
+    const ThermalSolution& sol = centreHeatedSolve(p);
     ASSERT_TRUE(sol.converged());
     temperatures.push_back(sol.cellTemperature);
   }
@@ -116,7 +134,8 @@ TEST(ExtractAlpha, SuperpositionMatchesThreeSolveRegression) {
   const double rThRef = cellFit(1, 1).slope;
 
   const auto result =
-      extractAlpha(model, MaterialTable::defaults(), 1, 1, powers, 300.0, tight);
+      extractAlpha(smallModel(), MaterialTable::defaults(), 1, 1, powers, 300.0,
+                   kTight);
   EXPECT_NEAR(result.rTh, rThRef, 1e-8 * rThRef);
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 3; ++c) {
@@ -127,9 +146,7 @@ TEST(ExtractAlpha, SuperpositionMatchesThreeSolveRegression) {
 }
 
 TEST(ExtractAlpha, AlphaStructure) {
-  const auto model = smallModel();
-  const auto result = extractAlpha(model, MaterialTable::defaults(), 1, 1,
-                                   {0.05e-3, 0.1e-3}, 300.0);
+  const AlphaResult& result = centreExtraction();
   EXPECT_DOUBLE_EQ(result.alpha(1, 1), 1.0);
   // Same-word-line neighbours couple more strongly than same-bit-line ones
   // (the filament sits on the bottom electrode).
@@ -151,8 +168,8 @@ TEST(ExtractAlpha, AlphaStructure) {
 }
 
 TEST(ExtractAlpha, TighterSpacingCouplesMore) {
-  const auto near = smallModel(10e-9);
-  const auto far = smallModel(90e-9);
+  const auto& near = smallModel(10e-9);
+  const auto& far = smallModel(90e-9);
   const auto alphaNear = extractAlpha(near, MaterialTable::defaults(), 1, 1,
                                       {0.05e-3, 0.1e-3}, 300.0);
   const auto alphaFar = extractAlpha(far, MaterialTable::defaults(), 1, 1,
@@ -162,9 +179,7 @@ TEST(ExtractAlpha, TighterSpacingCouplesMore) {
 }
 
 TEST(ExtractAlpha, PredictTemperaturesMatchesSolution) {
-  const auto model = smallModel();
-  const auto result = extractAlpha(model, MaterialTable::defaults(), 1, 1,
-                                   {0.05e-3, 0.1e-3, 0.15e-3}, 300.0);
+  const AlphaResult& result = centreExtraction();
   const auto predicted = result.predictTemperatures(0.1e-3);
   const auto& actual = result.temperatureMatrices[1];
   for (std::size_t r = 0; r < 3; ++r) {
@@ -176,7 +191,7 @@ TEST(ExtractAlpha, PredictTemperaturesMatchesSolution) {
 }
 
 TEST(ExtractAlpha, Validation) {
-  const auto model = smallModel();
+  const auto& model = smallModel();
   EXPECT_THROW(
       extractAlpha(model, MaterialTable::defaults(), 5, 1, {1e-4, 2e-4}, 300.0),
       std::out_of_range);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace nh::fem {
 namespace {
 
@@ -49,6 +53,31 @@ TEST(CrossbarLayout, ValidationCatchesBadParameters) {
   EXPECT_THROW(layout.validate(), std::invalid_argument);
 }
 
+TEST(CrossbarLayout, RejectsVoxelGridsThatOverflow) {
+  // Per-axis count not finite (inf), not representable (1e21 m / 5 nm ~ 8e29
+  // per lateral axis), or each fits but nx*ny*nz wraps std::size_t (10 m:
+  // ~8e9 per lateral axis). build() must throw before allocating anything.
+  for (const double spacing :
+       {std::numeric_limits<double>::infinity(), 1e21, 10.0}) {
+    CrossbarLayout layout = smallLayout();
+    layout.spacing = spacing;
+    for (const bool viaBuild : {false, true}) {
+      try {
+        if (viaBuild) {
+          CrossbarModel3D::build(layout);
+        } else {
+          layout.validate();
+        }
+        ADD_FAILURE() << "spacing " << spacing << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("voxel grid too large"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(CrossbarModel3D, BuildsExpectedGridSize) {
   const auto model = CrossbarModel3D::build(smallLayout());
   EXPECT_EQ(model.grid().nx(), 46u);  // 230/5
@@ -81,26 +110,47 @@ TEST(CrossbarModel3D, FilamentVoxelsAreFilamentMaterial) {
 }
 
 TEST(CrossbarModel3D, ElectrodeLinesAreDisjointAndMetal) {
-  const auto model = CrossbarModel3D::build(smallLayout());
-  for (std::size_t r = 0; r < 3; ++r) {
-    EXPECT_GT(model.wordLineVoxels(r).size(), 0u);
-    for (const std::size_t v : model.wordLineVoxels(r)) {
-      EXPECT_EQ(model.grid().material(v), Material::Electrode);
+  // Word lines: y inside row r's stripe, z inside the bottom-electrode layer.
+  // Bit lines: x inside column c's stripe, z inside the top-electrode layer.
+  // The cell oxide separates the two z ranges, and no other voxel is metal.
+  const CrossbarLayout layout = smallLayout();
+  const auto model = CrossbarModel3D::build(layout);
+  const VoxelGrid& grid = model.grid();
+  const double zWord0 = layout.tSubstrate + layout.tBuriedOxide;
+  const double zWord1 = zWord0 + layout.tBottomElectrode;
+  const double zBit0 = zWord1 + layout.tOxide;
+  const double zBit1 = zBit0 + layout.tTopElectrode;
+  ASSERT_LT(zWord1, zBit0);
+  const auto inStripe = [&](double coord, std::size_t line) {
+    const double lo = layout.margin + static_cast<double>(line) * layout.pitch();
+    return coord > lo && coord < lo + layout.electrodeWidth;
+  };
+
+  std::size_t wordVoxels[3] = {}, bitVoxels[3] = {};
+  for (std::size_t k = 0; k < grid.nz(); ++k) {
+    const double z = grid.zCenter(k);
+    for (std::size_t j = 0; j < grid.ny(); ++j) {
+      for (std::size_t i = 0; i < grid.nx(); ++i) {
+        for (std::size_t line = 0; line < 3; ++line) {
+          if (z > zWord0 && z < zWord1 && inStripe(grid.yCenter(j), line)) {
+            EXPECT_EQ(grid.material(i, j, k), Material::Electrode);
+            ++wordVoxels[line];
+          }
+          if (z > zBit0 && z < zBit1 && inStripe(grid.xCenter(i), line)) {
+            EXPECT_EQ(grid.material(i, j, k), Material::Electrode);
+            ++bitVoxels[line];
+          }
+        }
+      }
     }
   }
-  for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_GT(model.bitLineVoxels(c).size(), 0u);
+  std::size_t lineVoxels = 0;
+  for (std::size_t line = 0; line < 3; ++line) {
+    EXPECT_GT(wordVoxels[line], 0u);
+    EXPECT_GT(bitVoxels[line], 0u);
+    lineVoxels += wordVoxels[line] + bitVoxels[line];
   }
-  // Word lines live below bit lines: z ranges must not overlap.
-  const auto& grid = model.grid();
-  std::size_t maxWordZ = 0, minBitZ = grid.nz();
-  for (const std::size_t v : model.wordLineVoxels(0)) {
-    maxWordZ = std::max(maxWordZ, grid.voxel(v).k);
-  }
-  for (const std::size_t v : model.bitLineVoxels(0)) {
-    minBitZ = std::min(minBitZ, grid.voxel(v).k);
-  }
-  EXPECT_LT(maxWordZ, minBitZ);
+  EXPECT_EQ(grid.countMaterial(Material::Electrode), lineVoxels);
 }
 
 TEST(CrossbarModel3D, CellAverage) {

@@ -22,11 +22,12 @@
 #include "spice/elements.hpp"
 #include "util/cancellation.hpp"
 #include "util/faultinject.hpp"
-#include "util/fvstencil.hpp"
 #include "util/linsolve.hpp"
 #include "util/multigrid.hpp"
 #include "util/sparse.hpp"
 #include "util/threadpool.hpp"
+
+#include "steady_fv_operator.hpp"
 
 namespace {
 
@@ -237,7 +238,7 @@ class SolverFaults : public ::testing::Test {
 TEST_F(SolverFaults, CgFaultSiteReportsBreakdownThenRecovers) {
   namespace fi = nh::util::faultinject;
   const std::size_t m = 4;
-  const SparseMatrix a = nh::util::makeSteadyFvOperator3d(m, 1.0);
+  const SparseMatrix a = steadyFvOperator(m, 1.0);
   Vector b(a.rows(), 1.0);
 
   fi::arm("linsolve.cg", 1);
@@ -255,7 +256,7 @@ TEST_F(SolverFaults, CgFaultSiteReportsBreakdownThenRecovers) {
 }
 
 TEST_F(SolverFaults, NonFiniteRhsFailsFastAsBreakdown) {
-  const SparseMatrix a = nh::util::makeSteadyFvOperator3d(4, 1.0);
+  const SparseMatrix a = steadyFvOperator(4, 1.0);
   Vector b(a.rows(), 1.0);
   b[5] = std::numeric_limits<double>::quiet_NaN();
 
@@ -300,7 +301,7 @@ TEST_F(SolverFaults, MultigridSetupRejectsAZeroDiagonalRecoverably) {
   EXPECT_FALSE(mg.valid());
 
   // Control: the well-formed operator of the same size builds a hierarchy.
-  const SparseMatrix good = nh::util::makeSteadyFvOperator3d(m, 1.0);
+  const SparseMatrix good = steadyFvOperator(m, 1.0);
   EXPECT_TRUE(mg.compute(good, options));
   EXPECT_TRUE(mg.valid());
   EXPECT_GE(mg.levelCount(), 2u);
@@ -310,7 +311,7 @@ TEST_F(SolverFaults, MultigridSetupFaultTripsTheFallbackLadder) {
   namespace fi = nh::util::faultinject;
   const std::size_t m = 8;
   const std::size_t n = m * m * m;
-  const SparseMatrix a = nh::util::makeSteadyFvOperator3d(m, 2.0);
+  const SparseMatrix a = steadyFvOperator(m, 2.0);
   Vector b(n);
   for (std::size_t i = 0; i < n; ++i) b[i] = 1e-6 * double(i % 17);
 

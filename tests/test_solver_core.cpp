@@ -14,12 +14,13 @@
 #include "fem/thermal.hpp"
 #include "spice/analysis.hpp"
 #include "spice/elements.hpp"
-#include "util/fvstencil.hpp"
 #include "util/linsolve.hpp"
 #include "util/multigrid.hpp"
 #include "util/rng.hpp"
 #include "util/sparse.hpp"
 #include "xbar/fastsim.hpp"
+
+#include "steady_fv_operator.hpp"
 
 namespace {
 
@@ -166,14 +167,6 @@ TEST(ConjugateGradient, WorkspaceReuseAcrossDifferentSystems) {
 }
 
 // ---- geometric multigrid -----------------------------------------------------
-
-/// Steady FV heat operator on an m^3 grid: conditioning grows O(m^2), the
-/// regime the multigrid preconditioner targets. Shared with the benchmarks
-/// (util/fvstencil.hpp) so the asserted iteration scaling and the recorded
-/// baseline describe the same operator.
-SparseMatrix steadyFvOperator(std::size_t m, double scale) {
-  return nh::util::makeSteadyFvOperator3d(m, scale);
-}
 
 TEST(GeometricMultigrid, ProlongationRowsSumToOne) {
   // Partition of unity: constants interpolate exactly, the property that

@@ -83,10 +83,15 @@ TEST(Transient, CapacitorHoldsChargeWhenDisconnected) {
   Circuit ckt;
   const NodeId n = ckt.node("n");
   ckt.emplace<Capacitor>("C1", n, ckt.ground(), 1e-9);
-  ckt.emplace<CurrentSource>(
-      "I1", ckt.ground(), n,
-      std::make_unique<PwlWaveform>(std::vector<double>{0.0, 10e-9, 11e-9},
-                                    std::vector<double>{1e-3, 1e-3, 0.0}));
+  // One 1 mA pulse: 1 ns rise, 9.5 ns flat, 1 ns fall, then open circuit.
+  PulseSpec charge;
+  charge.amplitude = 1e-3;
+  charge.rise = 1e-9;
+  charge.width = 9.5e-9;
+  charge.fall = 1e-9;
+  charge.count = 1;
+  ckt.emplace<CurrentSource>("I1", ckt.ground(), n,
+                             std::make_unique<PulseWaveform>(charge));
   TransientOptions opt;
   opt.tStop = 1e-6;
   opt.dtMax = 5e-9;

@@ -76,14 +76,6 @@ TEST(DcWaveform, ConstantEverywhere) {
   EXPECT_TRUE(std::isinf(w.nextBreakpoint(0.0)));
 }
 
-TEST(PwlWaveform, InterpolatesKnots) {
-  const PwlWaveform w({0.0, 1e-9, 2e-9}, {0.0, 1.0, 0.0});
-  EXPECT_DOUBLE_EQ(w.value(0.5e-9), 0.5);
-  EXPECT_DOUBLE_EQ(w.value(5e-9), 0.0);  // clamped after last knot
-  EXPECT_DOUBLE_EQ(w.nextBreakpoint(0.0), 1e-9);
-  EXPECT_DOUBLE_EQ(w.nextBreakpoint(1e-9), 2e-9);
-}
-
 TEST(Waveform, CloneIsIndependentCopy) {
   const PulseWaveform w(hammerPulse());
   const auto copy = w.clone();

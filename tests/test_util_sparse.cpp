@@ -6,10 +6,11 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "util/fvstencil.hpp"
 #include "util/multigrid.hpp"
 #include "util/rng.hpp"
 #include "util/spmv.hpp"
+
+#include "steady_fv_operator.hpp"
 
 namespace nh::util {
 namespace {
@@ -278,7 +279,7 @@ TEST(SpGemm, GalerkinProductsBitIdenticalToSerialOracle) {
   // arrays must equal the oracle's exactly for both Galerkin products.
   const std::size_t m = 32;
   const std::size_t mc = m / 2;
-  const SparseMatrix a = makeSteadyFvOperator3d(m, 2.0);
+  const SparseMatrix a = steadyFvOperator(m, 2.0);
   const SparseMatrix p = buildTrilinearProlongation(m, m, m, mc, mc, mc);
   const SparseMatrix r = p.transposed();
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fem/geometry.hpp"
-
 namespace nh::xbar {
 namespace {
 
@@ -60,21 +58,6 @@ TEST(AlphaTable, SetAndTruncate) {
   EXPECT_LT(t.totalCoupling(), before);
   EXPECT_DOUBLE_EQ(t.at(2, 2), 0.0);
   EXPECT_GT(t.at(1, 1), 0.0);
-}
-
-TEST(AlphaTable, FromExtractionPreservesOffsets) {
-  fem::CrossbarLayout layout;
-  layout.rows = 3;
-  layout.cols = 3;
-  layout.margin = 20e-9;
-  const auto model = fem::CrossbarModel3D::build(layout);
-  const auto extraction = fem::extractAlpha(model, fem::MaterialTable::defaults(),
-                                            1, 1, {0.05e-3, 0.1e-3}, 300.0);
-  const AlphaTable table = AlphaTable::fromExtraction(extraction);
-  EXPECT_DOUBLE_EQ(table.at(0, 1), extraction.alpha(1, 2));
-  EXPECT_DOUBLE_EQ(table.at(-1, -1), extraction.alpha(0, 0));
-  EXPECT_DOUBLE_EQ(table.rTh(), extraction.rTh);
-  EXPECT_DOUBLE_EQ(table.at(0, 0), 0.0);
 }
 
 TEST(CrosstalkHub, Eq5MatchesHandComputation) {
